@@ -11,10 +11,12 @@ so no FMA contraction or reassociation can change a result bit.
 
 The build is content-addressed: the shared object is cached under the
 artifact root (``default_artifact_dir()/ckernel``) keyed by a digest of
-the C source and flags, so each source revision compiles exactly once
-per machine.  Every failure mode — no compiler, compile error, load
-error, ``REPRO_CC_KERNEL=0`` — degrades to ``LIB = None`` and the
-callers fall back to the pure tier.
+the C source and flags, the machine architecture, the compiler and its
+version, and the CPU model, so each source revision compiles exactly
+once per machine and a shared root never serves another CPU's build.
+Every failure mode — no compiler, compile error, load error,
+``REPRO_CC_KERNEL=0`` — degrades to ``LIB = None`` and the callers fall
+back to the pure tier.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -595,6 +598,256 @@ int glove_bounded_many_vs_all(
     return 0;
 }
 
+/* ---- the merge layer (Eq. 12-13, Fig. 6) and slot summaries -------
+ * Transliteration of merge_samples_arrays / summarize_slots_arrays.
+ * Sample columns come in (low, extent) pairs at 2c, 2c+1 and hulls in
+ * (low, high) pairs, so one loop over the axes c serves every column. */
+
+/* One Eq. 1 cell of stretch_matrix, same operation order. */
+static double cell_effort(
+    const double *a, const double *b, double w_a, double w_b,
+    double w_sigma, double w_tau, double phi_sigma, double phi_tau)
+{
+    double ahx = a[XCOL] + a[DXCOL], bhx = b[XCOL] + b[DXCOL];
+    double ahy = a[YCOL] + a[DYCOL], bhy = b[YCOL] + b[DYCOL];
+    double aht = a[TCOL] + a[DTCOL], bht = b[TCOL] + b[DTCOL];
+    double ux = (ahx > bhx ? ahx : bhx) - (a[XCOL] < b[XCOL] ? a[XCOL] : b[XCOL]);
+    double uy = (ahy > bhy ? ahy : bhy) - (a[YCOL] < b[YCOL] ? a[YCOL] : b[YCOL]);
+    double ut = (aht > bht ? aht : bht) - (a[TCOL] < b[TCOL] ? a[TCOL] : b[TCOL]);
+    double raw_s = (ux + uy) - (w_a * (a[DXCOL] + a[DYCOL]) + w_b * (b[DXCOL] + b[DYCOL]));
+    raw_s = raw_s > 0.0 ? raw_s : 0.0;
+    double raw_t = ut - (w_a * a[DTCOL] + w_b * b[DTCOL]);
+    raw_t = raw_t > 0.0 ? raw_t : 0.0;
+    double s_term = raw_s / phi_sigma;
+    s_term = s_term < 1.0 ? s_term : 1.0;
+    double t_term = raw_t / phi_tau;
+    t_term = t_term < 1.0 ? t_term : 1.0;
+    return w_sigma * s_term + w_tau * t_term;
+}
+
+/* Row argmin over b's mb rows; the lowest index wins ties. */
+static int64_t cell_argmin(
+    const double *a, const double *b, int64_t mb, double w_a, double w_b,
+    double w_sigma, double w_tau, double phi_sigma, double phi_tau)
+{
+    double best = cell_effort(a, b, w_a, w_b, w_sigma, w_tau, phi_sigma, phi_tau);
+    int64_t best_j = 0;
+    for (int64_t j = 1; j < mb; j++) {
+        double d = cell_effort(a, b + j * NCOLS, w_a, w_b,
+                               w_sigma, w_tau, phi_sigma, phi_tau);
+        if (d < best) {
+            best = d;
+            best_j = j;
+        }
+    }
+    return best_j;
+}
+
+/* Two-stage merge (plus the reshape sweep when asked), bit for bit the
+ * NumPy merge_sample_arrays / reshape_sample_array.  Stage 1's grouped
+ * generalization only takes exact minima and maxima, so its order is
+ * free; stage 2 prices every leftover against the stage-1 rows, then
+ * folds them one at a time, each fold recomputing the upper edge as
+ * low + extent of the previous one (lo + (hi - lo) need not be hi).
+ * out needs ms rows; *n_out receives the row count. */
+int glove_merge_samples(
+    const double *lng, int64_t ml, const double *sht, int64_t ms,
+    double n_long, double n_short,
+    double w_sigma, double w_tau, double phi_sigma, double phi_tau,
+    int64_t reshape, double atol, double *out, int64_t *n_out)
+{
+    size_t cells = (size_t)(ms > 0 ? ms : 1);
+    double *acc = malloc(cells * 2 * NCOLS * sizeof(double));
+    int64_t *target = malloc(cells * 3 * sizeof(int64_t));
+    if (acc == NULL || target == NULL) {
+        free(acc);
+        free(target);
+        return -1;
+    }
+    double *merged = acc + cells * NCOLS;
+    int64_t *order = target + cells;
+    int64_t *tmp = target + 2 * cells;
+    double w_a = n_long / (n_long + n_short);
+    double w_b = n_short / (n_long + n_short);
+    /* Stage 1: group bounds seeded with each short sample; target[j]
+     * doubles as the hit flag (1 once any long sample matched j). */
+    for (int64_t j = 0; j < ms; j++) {
+        const double *s = sht + j * NCOLS;
+        for (int c = 0; c < 3; c++) {
+            acc[j * NCOLS + 2 * c] = s[2 * c];
+            acc[j * NCOLS + 2 * c + 1] = s[2 * c] + s[2 * c + 1];
+        }
+        target[j] = 0;
+    }
+    for (int64_t i = 0; i < ml; i++) {
+        const double *l = lng + i * NCOLS;
+        int64_t j = cell_argmin(l, sht, ms, w_a, w_b,
+                                w_sigma, w_tau, phi_sigma, phi_tau);
+        target[j] = 1;
+        double *g = acc + j * NCOLS;
+        for (int c = 0; c < 3; c++) {
+            double lo = l[2 * c];
+            double hi = lo + l[2 * c + 1];
+            if (lo < g[2 * c])
+                g[2 * c] = lo;
+            if (hi > g[2 * c + 1])
+                g[2 * c + 1] = hi;
+        }
+    }
+    int64_t n = 0;
+    for (int64_t j = 0; j < ms; j++) {
+        if (target[j]) {
+            const double *g = acc + j * NCOLS;
+            for (int c = 0; c < 3; c++) {
+                merged[n * NCOLS + 2 * c] = g[2 * c];
+                merged[n * NCOLS + 2 * c + 1] = g[2 * c + 1] - g[2 * c];
+            }
+            n++;
+        }
+    }
+    /* Stage 2: price every leftover first (target[j] >= 0), then fold
+     * in ascending leftover order. */
+    double n_b2 = n_long + n_short;
+    double w_a2 = n_short / (n_short + n_b2);
+    double w_b2 = n_b2 / (n_short + n_b2);
+    for (int64_t j = 0; j < ms; j++)
+        target[j] = target[j]
+            ? -1
+            : cell_argmin(sht + j * NCOLS, merged, n, w_a2, w_b2,
+                          w_sigma, w_tau, phi_sigma, phi_tau);
+    for (int64_t j = 0; j < ms; j++) {
+        if (target[j] < 0)
+            continue;
+        const double *s = sht + j * NCOLS;
+        double *d = merged + target[j] * NCOLS;
+        for (int c = 0; c < 3; c++) {
+            double lo = d[2 * c];
+            double hi = lo + d[2 * c + 1];
+            double s_lo = s[2 * c];
+            double s_hi = s_lo + s[2 * c + 1];
+            if (s_lo < lo)
+                lo = s_lo;
+            if (s_hi > hi)
+                hi = s_hi;
+            d[2 * c] = lo;
+            d[2 * c + 1] = hi - lo;
+        }
+    }
+    /* Stable sort by interval start (the keys reuse acc's first n
+     * doubles; merged lives past them). */
+    for (int64_t r = 0; r < n; r++)
+        acc[r] = merged[r * NCOLS + TCOL];
+    stable_argsort(acc, order, tmp, n);
+    for (int64_t r = 0; r < n; r++)
+        for (int c = 0; c < NCOLS; c++)
+            out[r * NCOLS + c] = merged[order[r] * NCOLS + c];
+    if (!reshape || n < 2) {
+        *n_out = n;
+        free(acc);
+        free(target);
+        return 0;
+    }
+    /* Reshape: every run of temporally overlapping rows becomes its
+     * generalization; runs are contiguous and emitted in order, so
+     * row g overwrites only rows the sweep has passed. */
+    int64_t g = 0, start = 0;
+    double end = out[TCOL] + out[DTCOL];
+    for (int64_t r = 1; r <= n; r++) {
+        if (r < n && out[r * NCOLS + TCOL] < end - atol) {
+            double e = out[r * NCOLS + TCOL] + out[r * NCOLS + DTCOL];
+            if (e > end)
+                end = e;
+            continue;
+        }
+        if (r - start == 1) {
+            for (int c = 0; c < NCOLS; c++)
+                out[g * NCOLS + c] = out[start * NCOLS + c];
+        } else {
+            for (int c = 0; c < 3; c++) {
+                double lo = out[start * NCOLS + 2 * c];
+                double hi = lo + out[start * NCOLS + 2 * c + 1];
+                for (int64_t q = start + 1; q < r; q++) {
+                    double v = out[q * NCOLS + 2 * c];
+                    if (v < lo)
+                        lo = v;
+                    v = v + out[q * NCOLS + 2 * c + 1];
+                    if (v > hi)
+                        hi = v;
+                }
+                out[g * NCOLS + 2 * c] = lo;
+                out[g * NCOLS + 2 * c + 1] = hi - lo;
+            }
+        }
+        g++;
+        if (r < n) {
+            start = r;
+            end = out[r * NCOLS + TCOL] + out[r * NCOLS + DTCOL];
+        }
+    }
+    *n_out = g;
+    free(acc);
+    free(target);
+    return 0;
+}
+
+/* StretchEngine._summarize for every slot in slots: the (6, hull_cap)
+ * SoA hull column, the per-bucket hulls (a sample joins every bucket
+ * its closed interval touches; unoccupied buckets stay at +-inf) and
+ * the occupancy mask, with occupied time ranges clamped to the
+ * bucket. */
+void glove_summarize_slots(
+    const double *data, int64_t m_max, const int64_t *lengths,
+    const int64_t *slots, int64_t n_slots,
+    const double *edges, int64_t n_buckets,
+    double *hull, int64_t hull_cap, double *bhull, uint8_t *bocc)
+{
+    for (int64_t p = 0; p < n_slots; p++) {
+        int64_t s = slots[p];
+        const double *d = data + s * m_max * NCOLS;
+        double *bh = bhull + s * n_buckets * 6;
+        uint8_t *occ = bocc + s * n_buckets;
+        double h[6] = {INFINITY, -INFINITY, INFINITY, -INFINITY, INFINITY, -INFINITY};
+        for (int64_t b = 0; b < n_buckets; b++) {
+            for (int c = 0; c < 6; c++)
+                bh[b * 6 + c] = h[c];
+            occ[b] = 0;
+        }
+        for (int64_t i = 0; i < lengths[s]; i++) {
+            const double *row = d + i * NCOLS;
+            double lo[3], hi[3];
+            for (int c = 0; c < 3; c++) {
+                lo[c] = row[2 * c];
+                hi[c] = lo[c] + row[2 * c + 1];
+                if (lo[c] < h[2 * c])
+                    h[2 * c] = lo[c];
+                if (hi[c] > h[2 * c + 1])
+                    h[2 * c + 1] = hi[c];
+            }
+            for (int64_t b = 0; b < n_buckets; b++) {
+                if (lo[2] <= edges[b + 1] && hi[2] >= edges[b]) {
+                    double *hb = bh + b * 6;
+                    occ[b] = 1;
+                    for (int c = 0; c < 3; c++) {
+                        if (lo[c] < hb[2 * c])
+                            hb[2 * c] = lo[c];
+                        if (hi[c] > hb[2 * c + 1])
+                            hb[2 * c + 1] = hi[c];
+                    }
+                }
+            }
+        }
+        for (int c = 0; c < 6; c++)
+            hull[c * hull_cap + s] = h[c];
+        for (int64_t b = 0; b < n_buckets; b++) {
+            double *hb = bh + b * 6;
+            if (edges[b] > hb[4])
+                hb[4] = edges[b];
+            if (edges[b + 1] < hb[5])
+                hb[5] = edges[b + 1];
+        }
+    }
+}
+
 /* mat must arrive prefilled with +inf (the diagonal stays that way). */
 int glove_pairwise_matrix(
     const double *data, int64_t n, int64_t m_max,
@@ -636,20 +889,67 @@ int glove_pairwise_matrix(
 #: ``-march=native`` vectorization cannot change results; the explicit
 #: IEEE flags guard against distributions that alias ``cc`` to
 #: something exotic.  ``-march=native`` is dropped on compilers that
-#: reject it (the artifact cache is per-machine, so tuning is safe).
+#: reject it.
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 NATIVE_FLAG = "-march=native"
 
 
-def _cache_path() -> Path:
-    digest = hashlib.sha256(
-        (C_SOURCE + " ".join(CFLAGS) + NATIVE_FLAG).encode()
-    ).hexdigest()[:16]
+def _compiler() -> Optional[str]:
+    """The resolved path of the C compiler (``$CC``, default ``cc``)."""
+    found = shutil.which(os.environ.get("CC", "cc"))
+    return os.path.realpath(found) if found else None
+
+
+def _compiler_version(compiler: Optional[str]) -> str:
+    """First line of ``compiler --version``, or ``""`` when unavailable."""
+    if compiler is None:
+        return ""
+    try:
+        out = subprocess.run(
+            [compiler, "--version"], capture_output=True, text=True, timeout=30
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        return ""
+    return out.splitlines()[0].strip() if out.strip() else ""
+
+
+def _cpu_model() -> str:
+    """The CPU model name (``/proc/cpuinfo``, else ``platform.processor()``)."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                if key.strip().lower() in ("model name", "cpu model", "cpu part"):
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def _cache_path(compiler: Optional[str] = None) -> Path:
+    """Where the library built from this source on this machine lives.
+
+    ``-march=native`` tunes the binary for the build host's CPU, so the
+    digest covers the machine architecture, the resolved compiler and
+    its version, and the CPU model besides the source and flags: an
+    artifact root shared between hosts never serves a library built
+    for another CPU.
+    """
+    compiler = compiler if compiler is not None else _compiler()
+    key = "\0".join((
+        C_SOURCE,
+        " ".join(CFLAGS),
+        NATIVE_FLAG,
+        platform.machine(),
+        compiler or "",
+        _compiler_version(compiler),
+        _cpu_model(),
+    ))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return default_artifact_dir() / "ckernel" / f"stretch_{digest}.so"
 
 
-def _compile(cache: Path) -> bool:
-    compiler = shutil.which(os.environ.get("CC", "cc"))
+def _compile(cache: Path, compiler: Optional[str]) -> bool:
     if compiler is None:
         return False
     cache.parent.mkdir(parents=True, exist_ok=True)
@@ -742,6 +1042,21 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
         f64, i64, i64,                     # best, best_idx, pruned
     ]
+    lib.glove_merge_samples.restype = ctypes.c_int
+    lib.glove_merge_samples.argtypes = [
+        f64, c_i64, f64, c_i64,            # long, ml, short, ms
+        c_f64, c_f64,                      # n_long, n_short
+        c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
+        c_i64, c_f64,                      # reshape, atol
+        f64, i64,                          # out, n_out
+    ]
+    lib.glove_summarize_slots.restype = None
+    lib.glove_summarize_slots.argtypes = [
+        f64, c_i64, i64,                   # data, m_max, lengths
+        i64, c_i64,                        # slots, n_slots
+        f64, c_i64,                        # edges, n_buckets
+        f64, c_i64, f64, u8,               # hull, hull_cap, bucket_hull, bucket_occ
+    ]
     return lib
 
 
@@ -755,8 +1070,9 @@ def load() -> Optional[ctypes.CDLL]:
     if os.environ.get("REPRO_CC_KERNEL", "1") == "0":
         return None
     try:
-        cache = _cache_path()
-        if not cache.exists() and not _compile(cache):
+        compiler = _compiler()
+        cache = _cache_path(compiler)
+        if not cache.exists() and not _compile(cache, compiler):
             return None
         return _bind(ctypes.CDLL(str(cache)))
     except (OSError, ValueError):

@@ -1050,7 +1050,7 @@ class StretchEngine:
         slot = self.store.append(fp)
         if self.pruning:
             self._ensure_bound_capacity()
-            self._summarize(slot)
+            self._summarize(np.array([slot], dtype=np.int64))
         return slot
 
     def retire(self, slot: int) -> None:
@@ -1153,13 +1153,12 @@ class StretchEngine:
     def _init_bounds(self) -> None:
         store = self.store
         n = store.size
-        t_lo = min(float(store.data[s, : store.lengths[s], T].min()) for s in range(n))
-        t_hi = max(
-            float(
-                (store.data[s, : store.lengths[s], T] + store.data[s, : store.lengths[s], DT]).max()
-            )
-            for s in range(n)
-        )
+        # The time range of every stored sample, over the padded tensor
+        # (exact minima and maxima, so equal to a per-slot reduction).
+        valid = store.mask[:n]
+        t = store.data[:n, :, T]
+        t_lo = float(np.where(valid, t, np.inf).min())
+        t_hi = float(np.where(valid, t + store.data[:n, :, DT], -np.inf).max())
         span = max(t_hi - t_lo, 1e-9)
         n_buckets = int(np.ceil(span / self.compute.lb_bucket_minutes))
         n_buckets = int(np.clip(n_buckets, 1, self.compute.lb_max_buckets))
@@ -1171,8 +1170,7 @@ class StretchEngine:
         self._hull = np.zeros((6, cap), dtype=np.float64)
         self._bucket_hull = np.zeros((cap, n_buckets, 6), dtype=np.float64)
         self._bucket_occ = np.zeros((cap, n_buckets), dtype=bool)
-        for slot in range(n):
-            self._summarize(slot)
+        self._summarize(np.arange(n, dtype=np.int64))
 
     def _ensure_bound_capacity(self) -> None:
         cap = self.store.capacity
@@ -1185,8 +1183,23 @@ class StretchEngine:
         for name in ("_bucket_hull", "_bucket_occ"):
             setattr(self, name, grow_array(getattr(self, name), cap))
 
-    def _summarize(self, slot: int) -> None:
-        """Compute the hull and per-bucket hulls of a slot."""
+    def _summarize(self, slots: np.ndarray) -> None:
+        """Compute the hulls and per-bucket hulls of the given slots.
+
+        One native call on an accelerated tier; the NumPy reference,
+        slot by slot, otherwise.
+        """
+        if kernels.COMPILED_TIER is None:
+            for slot in slots:
+                self._summarize_numpy(int(slot))
+            return
+        kernels.summarize_slots_arrays(
+            self.store.data, self.store.lengths, slots, self._bucket_edges,
+            self._hull, self._bucket_hull, self._bucket_occ,
+        )
+
+    def _summarize_numpy(self, slot: int) -> None:
+        """The NumPy reference of :meth:`_summarize` for one slot."""
         d = self.store.probe(slot)
         x_lo, x_hi = d[:, X], d[:, X] + d[:, DX]
         y_lo, y_hi = d[:, Y], d[:, Y] + d[:, DY]

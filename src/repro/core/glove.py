@@ -46,7 +46,9 @@ from repro.core.engine import (
 )
 from repro.core.fingerprint import Fingerprint
 from repro.core.merge import merge_fingerprints
-from repro.core.reshape import reshape_fingerprint
+# Merges reshape in the same pass (merge_fingerprints(reshape=...)); the
+# name stays bound here because perfbench/layers.py traces it.
+from repro.core.reshape import reshape_fingerprint  # noqa: F401
 from repro.core.suppression import SuppressionStats, suppress_dataset
 from repro.obs import get_metrics
 
@@ -613,10 +615,7 @@ def _merge_pair(a: Fingerprint, b: Fingerprint, config: GloveConfig) -> Fingerpr
     the greedy loop, the leftover fold and the sharded tier's boundary
     repair so the steps can never diverge.
     """
-    merged = merge_fingerprints(a, b, config.stretch)
-    if config.reshape:
-        merged = reshape_fingerprint(merged)
-    return merged
+    return merge_fingerprints(a, b, config.stretch, reshape=config.reshape)
 
 
 def _greedy_merge(

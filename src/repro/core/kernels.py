@@ -32,6 +32,11 @@ The module binds three tiers to one kernel definition, best first:
    the parity property tests and as the stand-in when neither
    accelerated tier is available.
 
+The family also carries the per-merge bookkeeping: the Eq. 12-13 merge
+with its reshape sweep (``merge_samples_arrays``) and the engine's slot
+summaries (``summarize_slots_arrays``), which the callers use only when
+an accelerated tier is bound (DESIGN.md D9, "Native merge layer").
+
 ``COMPILED_TIER`` names the bound tier (``"numba"``/``"cc"``/``None``)
 and ``COMPILED_AVAILABLE`` is true when an accelerated tier is bound —
 that is what :class:`repro.core.engine.CompiledBackend` keys on.
@@ -599,6 +604,215 @@ def _build_kernels(decorate):
             best_idx_out[p] = best_idx
         return best_out, best_idx_out, pruned
 
+    # ---- the merge layer (Eq. 12-13, Fig. 6) and slot summaries -----
+    # Sample columns come in (low, extent) pairs — X/DX, Y/DY, T/DT at
+    # 2c, 2c+1 — and the hulls in matching (low, high) pairs, so one
+    # loop over the three axes c serves every column.
+
+    @decorate
+    def cell_effort(a, i, b, j, w_a, w_b, w_sigma, w_tau, phi_sigma, phi_tau):
+        # One Eq. 1 cell of repro.core.stretch.stretch_matrix, same
+        # operation order (the argmin callers only compare cells, so
+        # clamp signs of zero cannot matter).
+        ahx = a[i, X] + a[i, DX]
+        bhx = b[j, X] + b[j, DX]
+        ahy = a[i, Y] + a[i, DY]
+        bhy = b[j, Y] + b[j, DY]
+        aht = a[i, T] + a[i, DT]
+        bht = b[j, T] + b[j, DT]
+        ux = (ahx if ahx > bhx else bhx) - (a[i, X] if a[i, X] < b[j, X] else b[j, X])
+        uy = (ahy if ahy > bhy else bhy) - (a[i, Y] if a[i, Y] < b[j, Y] else b[j, Y])
+        ut = (aht if aht > bht else bht) - (a[i, T] if a[i, T] < b[j, T] else b[j, T])
+        raw_s = (ux + uy) - (w_a * (a[i, DX] + a[i, DY]) + w_b * (b[j, DX] + b[j, DY]))
+        if not raw_s > 0.0:
+            raw_s = 0.0
+        raw_t = ut - (w_a * a[i, DT] + w_b * b[j, DT])
+        if not raw_t > 0.0:
+            raw_t = 0.0
+        s_term = raw_s / phi_sigma
+        if not s_term < 1.0:
+            s_term = 1.0
+        t_term = raw_t / phi_tau
+        if not t_term < 1.0:
+            t_term = 1.0
+        return w_sigma * s_term + w_tau * t_term
+
+    @decorate
+    def cell_argmin(a, i, b, mb, w_a, w_b, w_sigma, w_tau, phi_sigma, phi_tau):
+        # Row argmin over b[:mb] with NumPy's rule: the lowest index
+        # among equal minima wins (a later cell must be strictly lower).
+        best = cell_effort(a, i, b, 0, w_a, w_b, w_sigma, w_tau, phi_sigma, phi_tau)
+        best_j = 0
+        for j in range(1, mb):
+            d = cell_effort(a, i, b, j, w_a, w_b, w_sigma, w_tau, phi_sigma, phi_tau)
+            if d < best:
+                best = d
+                best_j = j
+        return best_j
+
+    @decorate
+    def merge_samples_arrays(
+        long, short, n_long, n_short,
+        w_sigma, w_tau, phi_sigma, phi_tau, reshape, atol,
+    ):
+        # Two-stage merge of repro.core.merge.merge_sample_arrays (and,
+        # with reshape, reshape_sample_array of its result), bit for
+        # bit.  Stage 1's grouped generalization only takes minima and
+        # maxima of edges, which are exact, so its order is free.
+        # Stage 2's is not: every leftover is priced against the
+        # stage-1 rows, then the leftovers fold in one at a time, each
+        # fold recomputing the upper edge as low + extent of the
+        # previous fold — and lo + (hi - lo) need not be hi.
+        ml = long.shape[0]
+        ms = short.shape[0]
+        w_a = n_long / (n_long + n_short)
+        w_b = n_short / (n_long + n_short)
+        # Stage 1: group bounds seeded with each short sample, as
+        # (lo_x, hi_x, lo_y, hi_y, lo_t, hi_t); target[j] doubles as
+        # the hit flag (1 once any long sample matched j).
+        acc = np.empty((ms, 6))
+        target = np.zeros(ms, dtype=np.int64)
+        for j in range(ms):
+            for c in range(3):
+                acc[j, 2 * c] = short[j, 2 * c]
+                acc[j, 2 * c + 1] = short[j, 2 * c] + short[j, 2 * c + 1]
+        for i in range(ml):
+            j = cell_argmin(long, i, short, ms, w_a, w_b, w_sigma, w_tau, phi_sigma, phi_tau)
+            target[j] = 1
+            for c in range(3):
+                lo = long[i, 2 * c]
+                hi = lo + long[i, 2 * c + 1]
+                if lo < acc[j, 2 * c]:
+                    acc[j, 2 * c] = lo
+                if hi > acc[j, 2 * c + 1]:
+                    acc[j, 2 * c + 1] = hi
+        merged = np.empty((ms, 6))
+        n = 0
+        for j in range(ms):
+            if target[j]:
+                for c in range(3):
+                    merged[n, 2 * c] = acc[j, 2 * c]
+                    merged[n, 2 * c + 1] = acc[j, 2 * c + 1] - acc[j, 2 * c]
+                n += 1
+        # Stage 2: price every leftover first (target[j] >= 0), then
+        # fold in ascending leftover order.
+        n_b2 = n_long + n_short
+        w_a2 = n_short / (n_short + n_b2)
+        w_b2 = n_b2 / (n_short + n_b2)
+        for j in range(ms):
+            if target[j]:
+                target[j] = -1
+            else:
+                target[j] = cell_argmin(
+                    short, j, merged, n, w_a2, w_b2, w_sigma, w_tau, phi_sigma, phi_tau
+                )
+        for j in range(ms):
+            k = target[j]
+            if k < 0:
+                continue
+            for c in range(3):
+                lo = merged[k, 2 * c]
+                hi = lo + merged[k, 2 * c + 1]
+                s_lo = short[j, 2 * c]
+                s_hi = s_lo + short[j, 2 * c + 1]
+                if s_lo < lo:
+                    lo = s_lo
+                if s_hi > hi:
+                    hi = s_hi
+                merged[k, 2 * c] = lo
+                merged[k, 2 * c + 1] = hi - lo
+        # Stable sort by interval start.
+        keys = np.empty(n)
+        for r in range(n):
+            keys[r] = merged[r, T]
+        order = np.empty(n, dtype=np.int64)
+        tmp = np.empty(n, dtype=np.int64)
+        stable_argsort(keys, order, tmp)
+        out = np.empty((n, 6))
+        for r in range(n):
+            for c in range(6):
+                out[r, c] = merged[order[r], c]
+        if not reshape or n < 2:
+            return out
+        # Reshape: every run of temporally overlapping rows becomes its
+        # generalization; runs are contiguous and emitted in order, so
+        # row g overwrites only rows the sweep has passed.
+        g = 0
+        start = 0
+        end = out[0, T] + out[0, DT]
+        for r in range(1, n + 1):
+            if r < n and out[r, T] < end - atol:
+                e = out[r, T] + out[r, DT]
+                if e > end:
+                    end = e
+                continue
+            if r - start == 1:
+                for c in range(6):
+                    out[g, c] = out[start, c]
+            else:
+                for c in range(3):
+                    lo = out[start, 2 * c]
+                    hi = lo + out[start, 2 * c + 1]
+                    for q in range(start + 1, r):
+                        v = out[q, 2 * c]
+                        if v < lo:
+                            lo = v
+                        v = v + out[q, 2 * c + 1]
+                        if v > hi:
+                            hi = v
+                    out[g, 2 * c] = lo
+                    out[g, 2 * c + 1] = hi - lo
+            g += 1
+            if r < n:
+                start = r
+                end = out[r, T] + out[r, DT]
+        return out[:g].copy()
+
+    @decorate
+    def summarize_slots_arrays(
+        data, lengths, slots, edges, hull, bucket_hull, bucket_occ,
+    ):
+        # StretchEngine._summarize for every slot in `slots`: the global
+        # hull column of the (6, cap) SoA hull, the per-bucket hulls
+        # (a sample belongs to every bucket its closed interval
+        # touches; unoccupied buckets stay at +-inf) and the occupancy
+        # mask.  Occupied time ranges are clamped to their bucket.
+        n_buckets = edges.shape[0] - 1
+        for p in range(slots.shape[0]):
+            s = slots[p]
+            for b in range(n_buckets):
+                for c in range(3):
+                    bucket_hull[s, b, 2 * c] = np.inf
+                    bucket_hull[s, b, 2 * c + 1] = -np.inf
+                bucket_occ[s, b] = False
+            for c in range(6):
+                hull[c, s] = np.inf if c % 2 == 0 else -np.inf
+            for i in range(lengths[s]):
+                for c in range(3):
+                    lo = data[s, i, 2 * c]
+                    hi = lo + data[s, i, 2 * c + 1]
+                    if lo < hull[2 * c, s]:
+                        hull[2 * c, s] = lo
+                    if hi > hull[2 * c + 1, s]:
+                        hull[2 * c + 1, s] = hi
+                t_lo = data[s, i, T]
+                t_hi = t_lo + data[s, i, DT]
+                for b in range(n_buckets):
+                    if t_lo <= edges[b + 1] and t_hi >= edges[b]:
+                        bucket_occ[s, b] = True
+                        for c in range(3):
+                            lo = data[s, i, 2 * c]
+                            hi = lo + data[s, i, 2 * c + 1]
+                            if lo < bucket_hull[s, b, 2 * c]:
+                                bucket_hull[s, b, 2 * c] = lo
+                            if hi > bucket_hull[s, b, 2 * c + 1]:
+                                bucket_hull[s, b, 2 * c + 1] = hi
+            for b in range(n_buckets):
+                if edges[b] > bucket_hull[s, b, 4]:
+                    bucket_hull[s, b, 4] = edges[b]
+                if edges[b + 1] < bucket_hull[s, b, 5]:
+                    bucket_hull[s, b, 5] = edges[b + 1]
+
     return (
         pairwise_sum,
         one_vs_all_arrays,
@@ -607,6 +821,8 @@ def _build_kernels(decorate):
         many_vs_some_arrays,
         bounded_many_vs_all_arrays,
         bounded_many_vs_some_arrays,
+        merge_samples_arrays,
+        summarize_slots_arrays,
     )
 
 
@@ -621,6 +837,8 @@ def _build_kernels(decorate):
     many_vs_some_pure,
     bounded_many_vs_all_pure,
     bounded_many_vs_some_pure,
+    merge_samples_pure,
+    summarize_slots_pure,
 ) = _build_kernels(lambda f: f)
 
 
@@ -754,6 +972,37 @@ def _bind_cc():
             raise MemoryError("stretch kernel scratch allocation failed")
         return out, pruned
 
+    def merge_samples_cc(
+        long, short, n_long, n_short,
+        w_sigma, w_tau, phi_sigma, phi_tau, reshape, atol,
+    ):
+        # The merge never yields more rows than the shorter side has.
+        out = np.empty((short.shape[0], 6), dtype=np.float64)
+        n_out = np.zeros(1, dtype=np.int64)
+        rc = lib.glove_merge_samples(
+            np.ascontiguousarray(long), long.shape[0],
+            np.ascontiguousarray(short), short.shape[0],
+            float(n_long), float(n_short),
+            w_sigma, w_tau, phi_sigma, phi_tau,
+            int(bool(reshape)), float(atol), out, n_out,
+        )
+        if rc != 0:
+            raise MemoryError("merge kernel scratch allocation failed")
+        return out[: n_out[0]]
+
+    def summarize_slots_cc(
+        data, lengths, slots, edges, hull, bucket_hull, bucket_occ,
+    ):
+        # Writes in place, so the summary arrays must already be the
+        # engine's own contiguous buffers (the ndpointer checks refuse
+        # anything else rather than fill a copy).
+        lib.glove_summarize_slots(
+            data, data.shape[1], lengths,
+            np.ascontiguousarray(slots), slots.shape[0],
+            np.ascontiguousarray(edges), edges.shape[0] - 1,
+            hull, hull.shape[1], bucket_hull, bucket_occ.view(np.uint8),
+        )
+
     return (
         one_vs_all_cc,
         pairwise_matrix_cc,
@@ -761,6 +1010,8 @@ def _bind_cc():
         many_vs_some_cc,
         bounded_many_vs_all_cc,
         bounded_many_vs_some_cc,
+        merge_samples_cc,
+        summarize_slots_cc,
     )
 
 
@@ -777,6 +1028,8 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised via compiled-parity CI
         many_vs_some_arrays,
         bounded_many_vs_all_arrays,
         bounded_many_vs_some_arrays,
+        merge_samples_arrays,
+        summarize_slots_arrays,
     ) = _build_kernels(njit(cache=True, nogil=True))
 else:
     _cc = _bind_cc()
@@ -789,6 +1042,8 @@ else:
             many_vs_some_arrays,
             bounded_many_vs_all_arrays,
             bounded_many_vs_some_arrays,
+            merge_samples_arrays,
+            summarize_slots_arrays,
         ) = _cc
     else:
         COMPILED_TIER = None
@@ -798,6 +1053,8 @@ else:
         many_vs_some_arrays = many_vs_some_pure
         bounded_many_vs_all_arrays = bounded_many_vs_all_pure
         bounded_many_vs_some_arrays = bounded_many_vs_some_pure
+        merge_samples_arrays = merge_samples_pure
+        summarize_slots_arrays = summarize_slots_pure
 
 #: True when an accelerated binding (numba or cc) backs the ``compiled``
 #: backend; the pure twins alone do not qualify.

@@ -15,6 +15,11 @@ their bounding rectangles and time intervals: Eq. 12 takes the minimum
 lower edge, Eq. 13 stretches the extent to the maximum upper edge.  The
 union is associative, so iterating Eq. 12-13 over a group equals one
 bulk min/max reduction.
+
+When an accelerated kernel tier is bound (:mod:`repro.core.kernels`),
+the whole merge — and the reshape sweep, when asked for — runs as one
+native call that reproduces the NumPy code below bit for bit
+(DESIGN.md D9); without one, the NumPy code runs.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.config import StretchConfig
 from repro.core.fingerprint import Fingerprint
-from repro.core.sample import DT, DX, DY, NCOLS, T, X, Y
+from repro.core.sample import DT, DX, DY, NCOLS, OVERLAP_ATOL, T, X, Y
 from repro.core.stretch import stretch_matrix
 
 #: (low, extent) column index pairs for the three generalized axes.
@@ -55,15 +61,40 @@ def merge_sample_arrays(
     n_long: int,
     n_short: int,
     config: StretchConfig = StretchConfig(),
+    reshape: bool = False,
 ) -> np.ndarray:
     """Two-stage merge of two sample arrays; ``long`` must be the longer one.
 
     Returns the merged ``(m', 6)`` array with ``m' = `` number of
     distinct ``short`` samples matched in stage one (``m' <= m_short``).
+    With ``reshape``, the result is also passed through
+    :func:`repro.core.reshape.reshape_sample_array`.
     """
     if long.shape[0] < short.shape[0]:
         raise ValueError("first argument must be the longer fingerprint")
+    if kernels.COMPILED_TIER is not None:
+        return kernels.merge_samples_arrays(
+            long, short, float(n_long), float(n_short),
+            config.w_sigma, config.w_tau, config.phi_max_sigma_m, config.phi_max_tau_min,
+            reshape, OVERLAP_ATOL,
+        )
+    merged = merge_sample_arrays_numpy(long, short, n_long, n_short, config)
+    if reshape:
+        # Imported here: repro.core.reshape imports this module.
+        from repro.core.reshape import reshape_sample_array
 
+        merged = reshape_sample_array(merged)
+    return merged
+
+
+def merge_sample_arrays_numpy(
+    long: np.ndarray,
+    short: np.ndarray,
+    n_long: int,
+    n_short: int,
+    config: StretchConfig = StretchConfig(),
+) -> np.ndarray:
+    """The NumPy reference of :func:`merge_sample_arrays` (no reshape)."""
     # Stage 1: match each long sample to its cheapest short sample.
     delta = stretch_matrix(long, short, n_long, n_short, config)
     match = delta.argmin(axis=1)  # (m_long,)
@@ -92,13 +123,15 @@ def merge_fingerprints(
     b: Fingerprint,
     config: StretchConfig = StretchConfig(),
     uid: str = None,
+    reshape: bool = False,
 ) -> Fingerprint:
     """Merge two fingerprints into one hiding ``a.count + b.count`` users.
 
     The merged fingerprint's sample array covers every sample of both
     inputs (truthfulness is preserved: no fabricated samples, only
-    coarsened ones).  Reshaping (temporal-overlap resolution) is a
-    separate pass, see :mod:`repro.core.reshape`.
+    coarsened ones).  With ``reshape`` the temporal-overlap resolution
+    of :mod:`repro.core.reshape` runs in the same pass; the result
+    equals ``reshape_fingerprint`` of the plain merge.
     """
     if a.m == 0 or b.m == 0:
         raise ValueError("cannot merge empty fingerprints")
@@ -107,7 +140,7 @@ def merge_fingerprints(
     else:
         long_fp, short_fp = b, a
     data = merge_sample_arrays(
-        long_fp.data, short_fp.data, long_fp.count, short_fp.count, config
+        long_fp.data, short_fp.data, long_fp.count, short_fp.count, config, reshape
     )
     return Fingerprint(
         uid if uid is not None else f"{a.uid}+{b.uid}",

@@ -17,10 +17,10 @@ import numpy as np
 
 from repro.core.fingerprint import Fingerprint
 from repro.core.merge import generalize_rows
-from repro.core.sample import DT, NCOLS, T
+from repro.core.sample import DT, NCOLS, OVERLAP_ATOL, T
 
 
-def has_temporal_overlap(data: np.ndarray, atol: float = 1e-9) -> bool:
+def has_temporal_overlap(data: np.ndarray, atol: float = OVERLAP_ATOL) -> bool:
     """Whether any two sample intervals of a time-sorted array overlap.
 
     Samples that merely touch (one ends exactly when the next starts)
@@ -34,7 +34,7 @@ def has_temporal_overlap(data: np.ndarray, atol: float = 1e-9) -> bool:
     return bool((starts[1:] < np.maximum.accumulate(ends[:-1]) - atol).any())
 
 
-def reshape_sample_array(data: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+def reshape_sample_array(data: np.ndarray, atol: float = OVERLAP_ATOL) -> np.ndarray:
     """Merge every run of temporally-overlapping samples into one sample.
 
     Returns a new time-sorted ``(m', 6)`` array, ``m' <= m``, whose

@@ -29,6 +29,11 @@ X, DX, Y, DY, T, DT = 0, 1, 2, 3, 4, 5
 #: Number of columns in a sample array.
 NCOLS = 6
 
+#: Two sample intervals overlap only when one starts more than this
+#: many minutes before the other ends (reshaping, Fig. 6b); closer
+#: intervals merely touch.
+OVERLAP_ATOL = 1e-9
+
 #: The paper's finest granularities.
 DEFAULT_DX_M = 100.0
 DEFAULT_DY_M = 100.0

@@ -56,7 +56,9 @@ from repro.core.glove import (
     validate_population,
 )
 from repro.core.merge import merge_fingerprints
-from repro.core.reshape import reshape_fingerprint
+# Merges reshape in the same pass (merge_fingerprints(reshape=...)); the
+# name stays bound here because perfbench/layers.py traces it.
+from repro.core.reshape import reshape_fingerprint  # noqa: F401
 from repro.core.shard import _boundary_repair
 from repro.obs import get_metrics
 from repro.stream.feed import ReplayFeed, StreamEvent, replay_dataset
@@ -152,9 +154,9 @@ def _absorb(group: Fingerprint, native: Fingerprint, config: GloveConfig) -> Fin
     group's identity: the member is already counted, so ``count`` and
     ``members`` must not grow (DESIGN.md D7).
     """
-    merged = merge_fingerprints(group, native, config.stretch, uid=group.uid)
-    if config.reshape:
-        merged = reshape_fingerprint(merged)
+    merged = merge_fingerprints(
+        group, native, config.stretch, uid=group.uid, reshape=config.reshape
+    )
     return Fingerprint(group.uid, merged.data, count=group.count, members=group.members)
 
 

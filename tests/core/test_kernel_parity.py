@@ -665,3 +665,73 @@ class TestFallback:
         )
         assert proc.returncode == 0, proc.stderr
         assert "bounded-fallback-ok" in proc.stdout
+
+    def test_merge_layer_falls_back_to_numpy_byte_identically(self):
+        # With no accelerated tier the merge (and reshape) and the slot
+        # summaries must run the NumPy reference — never the slow pure
+        # twins — and the glove() output must be byte-identical to the
+        # run on the accelerated tier.
+        body = """
+            import hashlib
+
+            from repro.core import engine, kernels, merge
+            from repro.core.artifacts import ArtifactStore
+            from repro.core.config import ComputeConfig, GloveConfig
+            from repro.core.glove import glove
+            from repro.core.pipeline import Pipeline
+            from repro.core.scenarios import get_scenario
+
+            calls = {"merge": 0, "summarize": 0, "kernel": 0}
+            numpy_merge = merge.merge_sample_arrays_numpy
+            numpy_summarize = engine.StretchEngine._summarize_numpy
+
+            def count_merge(*args, **kwargs):
+                calls["merge"] += 1
+                return numpy_merge(*args, **kwargs)
+
+            def count_summarize(self, slot):
+                calls["summarize"] += 1
+                return numpy_summarize(self, slot)
+
+            def count_kernel(fn):
+                def wrapper(*args, **kwargs):
+                    calls["kernel"] += 1
+                    return fn(*args, **kwargs)
+                return wrapper
+
+            merge.merge_sample_arrays_numpy = count_merge
+            engine.StretchEngine._summarize_numpy = count_summarize
+            kernels.merge_samples_arrays = count_kernel(kernels.merge_samples_arrays)
+            kernels.summarize_slots_arrays = count_kernel(kernels.summarize_slots_arrays)
+
+            sc = get_scenario("bench").scaled(n_users=40, days=1, seed=0)
+            dataset = sc.synthesize(Pipeline(ArtifactStore(root=None)))
+            digest = hashlib.sha256()
+            for reshape in (True, False):
+                result = glove(dataset, GloveConfig(k=2, reshape=reshape), ComputeConfig(backend="auto"))
+                for fp in result.dataset:
+                    digest.update(fp.uid.encode())
+                    digest.update(str(fp.count).encode())
+                    digest.update(fp.data.tobytes())
+            if kernels.COMPILED_TIER is None:
+                assert calls["merge"] > 0 and calls["summarize"] > 0, calls
+                assert calls["kernel"] == 0, calls
+            else:
+                assert calls["merge"] == 0 and calls["summarize"] == 0, calls
+                assert calls["kernel"] > 0, calls
+            print("tier", kernels.COMPILED_TIER)
+            print("digest", digest.hexdigest())
+            """
+        fallback = _run_fallback_probe(body, {"REPRO_CC_KERNEL": "0"})
+        assert fallback.returncode == 0, fallback.stderr
+        assert "tier None" in fallback.stdout
+        native = _run_fallback_probe(body, {"REPRO_CC_KERNEL": "1"})
+        assert native.returncode == 0, native.stderr
+        if kernels.COMPILED_TIER == "cc":
+            assert "tier cc" in native.stdout
+
+        def digest(out):
+            return [line for line in out.splitlines() if line.startswith("digest")]
+
+        assert digest(fallback.stdout) == digest(native.stdout)
+        assert len(digest(fallback.stdout)) == 1
