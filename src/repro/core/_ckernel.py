@@ -26,8 +26,10 @@ import hashlib
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -84,25 +86,32 @@ static double psum(const double *a, int64_t n)
 
 /* One Eq. 10 effort.  Ternaries mirror NumPy's maximum/minimum tie
  * rule (in1 OP in2 ? in1 : in2) so -0.0 never replaces the
- * reference's +0.0.  The inner loop is branchless struct-of-arrays:
- * every per-cell value is an independent elementwise function and the
- * two reductions are exact minima, so the compiler's SIMD
- * vectorization cannot change a bit (FMA contraction is disabled by
- * the build flags).  sa/sb must hold pad_width zeros on entry and are
- * re-zeroed before returning; tb needs 9*m_max scratch doubles for
- * the hoisted per-target-row precomputes and the per-row effort
- * buffer (the row minimum is reduced in a separate scalar pass —
- * keeping the reduction out of the hot loop is what lets the
- * compiler vectorize it under strict IEEE rules). */
+ * reference's +0.0.  The inner loop is branchless struct-of-arrays
+ * over the longer side: when ma > mb the two sides swap, which is
+ * bitwise free because the cell is symmetric in (a, b) -- the clamps
+ * absorb any sign of zero and w_a*x + w_b*y commutes.  Every cell is
+ * >= +0 and never NaN (the clamps yield +0, phi > 0, the weights are
+ * >= 0), so both minima give the same bits in any order: the row
+ * minimum is an OpenMP SIMD min reduction fused into the cell loop and
+ * the column minima are per-lane selects (FMA contraction is disabled
+ * by the build flags).  sa/sb must hold pad_width zeros on entry and
+ * are re-zeroed before returning; tb needs 8*t_stride scratch doubles
+ * (t_stride >= max(ma, mb)) for the hoisted inner-side precomputes. */
 static double pair_effort(
-    const double *restrict a, int64_t ma, double n_a,
-    const double *restrict b, int64_t mb, double n_b,
-    double *restrict sa, double *restrict sb, double *restrict tb,
+    const double *a, int64_t ma, double n_a,
+    const double *b, int64_t mb, double n_b,
+    double *sa, double *sb, double *restrict tb,
     int64_t t_stride, int64_t pad_width,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau)
 {
     double w_a = n_a / (n_a + n_b);
     double w_b = n_b / (n_a + n_b);
+    if (ma > mb) {
+        const double *p = a; a = b; b = p;
+        int64_t m = ma; ma = mb; mb = m;
+        double w = w_a; w_a = w_b; w_b = w;
+        double *s = sa; sa = sb; sb = s;
+    }
     /* The slices are disjoint (mb <= t_stride), so restrict holds. */
     double *restrict t_bx = tb;
     double *restrict t_bhx = tb + t_stride;
@@ -112,12 +121,10 @@ static double pair_effort(
     double *restrict t_bht = tb + 5 * t_stride;
     double *restrict t_wbe = tb + 6 * t_stride;
     double *restrict t_wbt = tb + 7 * t_stride;
-    double *restrict dbuf = tb + 8 * t_stride;
-    for (int64_t i = 0; i < ma; i++)
-        sa[i] = INFINITY;
+    double *restrict col = sb;
     for (int64_t j = 0; j < mb; j++) {
         const double *br = b + j * NCOLS;
-        sb[j] = INFINITY;
+        col[j] = INFINITY;
         t_bx[j] = br[XCOL];
         t_bhx[j] = br[XCOL] + br[DXCOL];
         t_by[j] = br[YCOL];
@@ -135,6 +142,8 @@ static double pair_effort(
         double aht = ati + ar[DTCOL];
         double wa_ext = w_a * (ar[DXCOL] + ar[DYCOL]);
         double wa_t = w_a * ar[DTCOL];
+        double row_min = INFINITY;
+#pragma omp simd reduction(min:row_min)
         for (int64_t j = 0; j < mb; j++) {
             double bxj = t_bx[j], bhx = t_bhx[j];
             double byj = t_by[j], bhy = t_bhy[j];
@@ -151,25 +160,22 @@ static double pair_effort(
             double t_term = raw_t / phi_tau;
             t_term = t_term < 1.0 ? t_term : 1.0;
             double d = w_sigma * s_term + w_tau * t_term;
-            dbuf[j] = d;
-            sb[j] = d < sb[j] ? d : sb[j];
+            col[j] = d < col[j] ? d : col[j];
+            row_min = d < row_min ? d : row_min;
         }
-        double row_min = INFINITY;
-        for (int64_t j = 0; j < mb; j++)
-            row_min = dbuf[j] < row_min ? dbuf[j] : row_min;
         sa[i] = row_min;
     }
-    double mean_a = psum(sa, pad_width) / (double)ma;
+    /* After the swap ma <= mb: the result is the longer side's mean,
+     * or the average of both directions at equal lengths. */
     double mean_b = psum(sb, pad_width) / (double)mb;
+    double res = mean_b;
+    if (ma == mb)
+        res = (psum(sa, pad_width) / (double)ma + mean_b) / 2.0;
     for (int64_t i = 0; i < ma; i++)
         sa[i] = 0.0;
     for (int64_t j = 0; j < mb; j++)
         sb[j] = 0.0;
-    if (ma > mb)
-        return mean_a;
-    if (mb > ma)
-        return mean_b;
-    return (mean_a + mean_b) / 2.0;
+    return res;
 }
 
 int glove_one_vs_all(
@@ -183,7 +189,7 @@ int glove_one_vs_all(
     int64_t pad_width = ma > m_max ? ma : m_max;
     double *sa = calloc((size_t)pad_width, sizeof(double));
     double *sb = calloc((size_t)pad_width, sizeof(double));
-    double *tb = malloc((size_t)(9 * m_max) * sizeof(double));
+    double *tb = malloc((size_t)(8 * pad_width) * sizeof(double));
     if (sa == NULL || sb == NULL || tb == NULL) {
         free(sa);
         free(sb);
@@ -195,7 +201,7 @@ int glove_one_vs_all(
         out[idx] = pair_effort(
             a_data, ma, n_a,
             data + t * m_max * NCOLS, lengths[t], (double)counts[t],
-            sa, sb, tb, m_max, pad_width,
+            sa, sb, tb, pad_width, pad_width,
             w_sigma, w_tau, phi_sigma, phi_tau);
     }
     free(sa);
@@ -224,7 +230,7 @@ int glove_many_vs_all(
     int64_t pad_max = p_m_max > m_max ? p_m_max : m_max;
     double *sa = calloc((size_t)pad_max, sizeof(double));
     double *sb = calloc((size_t)pad_max, sizeof(double));
-    double *tb = malloc((size_t)(9 * m_max) * sizeof(double));
+    double *tb = malloc((size_t)(8 * pad_max) * sizeof(double));
     if (sa == NULL || sb == NULL || tb == NULL) {
         free(sa);
         free(sb);
@@ -242,7 +248,7 @@ int glove_many_vs_all(
             row[idx] = pair_effort(
                 a, ma, n_a,
                 data + t * m_max * NCOLS, lengths[t], (double)counts[t],
-                sa, sb, tb, m_max, pad_width,
+                sa, sb, tb, pad_max, pad_width,
                 w_sigma, w_tau, phi_sigma, phi_tau);
         }
     }
@@ -266,7 +272,7 @@ int glove_many_vs_some(
     int64_t pad_max = p_m_max > m_max ? p_m_max : m_max;
     double *sa = calloc((size_t)pad_max, sizeof(double));
     double *sb = calloc((size_t)pad_max, sizeof(double));
-    double *tb = malloc((size_t)(9 * m_max) * sizeof(double));
+    double *tb = malloc((size_t)(8 * pad_max) * sizeof(double));
     if (sa == NULL || sb == NULL || tb == NULL) {
         free(sa);
         free(sb);
@@ -283,7 +289,7 @@ int glove_many_vs_some(
             out[idx] = pair_effort(
                 a, ma, n_a,
                 data + t * m_max * NCOLS, lengths[t], (double)counts[t],
-                sa, sb, tb, m_max, pad_width,
+                sa, sb, tb, pad_max, pad_width,
                 w_sigma, w_tau, phi_sigma, phi_tau);
         }
     }
@@ -344,63 +350,73 @@ static double sample_hull_bound(
     return w_sigma * s_term + w_tau * t_term;
 }
 
+/* Per-sample minimum of the sample-vs-bucket-hull bound over the
+ * occupied buckets of one slot (+inf where none is occupied),
+ * vectorized over samples: buckets are the outer loop, so each sample's
+ * running minimum is a per-lane select that gcc vectorizes under strict
+ * IEEE flags, and each unoccupied bucket is skipped once instead of
+ * contributing +inf per sample.  Every sample still folds the buckets
+ * in ascending order.  The m sample hulls are copied once into the SoA
+ * scratch soa (6 rows of stride m_max). */
+static void bucket_min(
+    const double *s, int64_t m, const double *hulls, const uint8_t *occ,
+    int64_t n_buckets, double *restrict soa, int64_t m_max,
+    double *restrict out,
+    double w_sigma, double w_tau, double phi_sigma, double phi_tau)
+{
+    double *restrict sx = soa;
+    double *restrict shx = soa + m_max;
+    double *restrict sy = soa + 2 * m_max;
+    double *restrict shy = soa + 3 * m_max;
+    double *restrict st = soa + 4 * m_max;
+    double *restrict sht = soa + 5 * m_max;
+    for (int64_t i = 0; i < m; i++) {
+        const double *r = s + i * NCOLS;
+        sx[i] = r[XCOL];
+        shx[i] = r[XCOL] + r[DXCOL];
+        sy[i] = r[YCOL];
+        shy[i] = r[YCOL] + r[DYCOL];
+        st[i] = r[TCOL];
+        sht[i] = r[TCOL] + r[DTCOL];
+        out[i] = INFINITY;
+    }
+    for (int64_t b = 0; b < n_buckets; b++) {
+        if (!occ[b])
+            continue;
+        const double *h = hulls + b * 6;
+        for (int64_t i = 0; i < m; i++) {
+            double v = sample_hull_bound(sx[i], shx[i], sy[i], shy[i], st[i], sht[i],
+                                         h, w_sigma, w_tau, phi_sigma, phi_tau);
+            out[i] = out[i] < v ? out[i] : v;
+        }
+    }
+}
+
 /* Level-1 bound of the (a, c) pair following Eq. 10's longer-side
- * rule.  The a-side direction folds the minimum over all of c's
- * buckets (unoccupied contribute +inf) and means over ma samples; the
- * c-side direction folds only a's occupied buckets and sums a
- * zero-padded width-m_max vector before dividing by mc, replicating
- * the reference's masked mean bit for bit.  lbbuf needs m_max
- * doubles. */
+ * rule.  The a-side direction means a's per-sample minima over c's
+ * buckets across ma samples; the c-side direction sums c's minima
+ * over a's buckets as a zero-padded width-m_max vector before dividing
+ * by mc, replicating the reference's masked mean bit for bit.  lbbuf
+ * needs m_max doubles and soa 6*m_max. */
 static double bucket_bound(
     const double *data, int64_t m_max, const int64_t *lengths,
     const double *bhull, const uint8_t *bocc, int64_t n_buckets,
-    int64_t a, int64_t c, double *lbbuf,
+    int64_t a, int64_t c, double *lbbuf, double *soa,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau)
 {
     int64_t ma = lengths[a];
     int64_t mc = lengths[c];
     double la = 0.0, lb = 0.0;
     if (ma >= mc) {
-        const double *ad = data + a * m_max * NCOLS;
-        const double *ch = bhull + c * n_buckets * 6;
-        const uint8_t *co = bocc + c * n_buckets;
-        for (int64_t i = 0; i < ma; i++) {
-            const double *s = ad + i * NCOLS;
-            double sx = s[XCOL], shx = sx + s[DXCOL];
-            double sy = s[YCOL], shy = sy + s[DYCOL];
-            double st = s[TCOL], sht = st + s[DTCOL];
-            double m = INFINITY;
-            for (int64_t b = 0; b < n_buckets; b++) {
-                double v = co[b]
-                    ? sample_hull_bound(sx, shx, sy, shy, st, sht, ch + b * 6,
-                                        w_sigma, w_tau, phi_sigma, phi_tau)
-                    : INFINITY;
-                m = m < v ? m : v;
-            }
-            lbbuf[i] = m;
-        }
+        bucket_min(data + a * m_max * NCOLS, ma, bhull + c * n_buckets * 6,
+                   bocc + c * n_buckets, n_buckets, soa, m_max, lbbuf,
+                   w_sigma, w_tau, phi_sigma, phi_tau);
         la = psum(lbbuf, ma) / (double)ma;
     }
     if (mc >= ma) {
-        const double *cd = data + c * m_max * NCOLS;
-        const double *ah = bhull + a * n_buckets * 6;
-        const uint8_t *ao = bocc + a * n_buckets;
-        for (int64_t j = 0; j < mc; j++) {
-            const double *s = cd + j * NCOLS;
-            double sx = s[XCOL], shx = sx + s[DXCOL];
-            double sy = s[YCOL], shy = sy + s[DYCOL];
-            double st = s[TCOL], sht = st + s[DTCOL];
-            double m = INFINITY;
-            for (int64_t b = 0; b < n_buckets; b++) {
-                if (ao[b]) {
-                    double v = sample_hull_bound(
-                        sx, shx, sy, shy, st, sht, ah + b * 6,
-                        w_sigma, w_tau, phi_sigma, phi_tau);
-                    m = m < v ? m : v;
-                }
-            }
-            lbbuf[j] = m;
-        }
+        bucket_min(data + c * m_max * NCOLS, mc, bhull + a * n_buckets * 6,
+                   bocc + a * n_buckets, n_buckets, soa, m_max, lbbuf,
+                   w_sigma, w_tau, phi_sigma, phi_tau);
         for (int64_t j = mc; j < m_max; j++)
             lbbuf[j] = 0.0;
         lb = psum(lbbuf, m_max) / (double)mc;
@@ -463,14 +479,15 @@ int glove_bounded_many_vs_some(
     }
     double *sa = calloc((size_t)m_max, sizeof(double));
     double *sb = calloc((size_t)m_max, sizeof(double));
-    double *tb = malloc((size_t)(9 * m_max) * sizeof(double));
+    double *tb = malloc((size_t)(8 * m_max) * sizeof(double));
     double *lbbuf = malloc((size_t)m_max * sizeof(double));
+    double *soa = malloc((size_t)(6 * m_max) * sizeof(double));
     double *lb0 = malloc((size_t)n_max * sizeof(double));
     int64_t *order = malloc((size_t)n_max * sizeof(int64_t));
     int64_t *tmp = malloc((size_t)n_max * sizeof(int64_t));
     if (sa == NULL || sb == NULL || tb == NULL || lbbuf == NULL ||
-        lb0 == NULL || order == NULL || tmp == NULL) {
-        free(sa); free(sb); free(tb); free(lbbuf);
+        soa == NULL || lb0 == NULL || order == NULL || tmp == NULL) {
+        free(sa); free(sb); free(tb); free(lbbuf); free(soa);
         free(lb0); free(order); free(tmp);
         return -1;
     }
@@ -500,7 +517,7 @@ int glove_bounded_many_vs_some(
                 continue;
             }
             double lb1 = bucket_bound(data, m_max, lengths, bhull, bocc,
-                                      n_buckets, a, t, lbbuf,
+                                      n_buckets, a, t, lbbuf, soa,
                                       w_sigma, w_tau, phi_sigma, phi_tau);
             if (lb1 > best && (!rev || lb1 >= best_vals[t])) {
                 out[off + j] = INFINITY;
@@ -519,7 +536,7 @@ int glove_bounded_many_vs_some(
             }
         }
     }
-    free(sa); free(sb); free(tb); free(lbbuf);
+    free(sa); free(sb); free(tb); free(lbbuf); free(soa);
     free(lb0); free(order); free(tmp);
     return 0;
 }
@@ -542,14 +559,15 @@ int glove_bounded_many_vs_all(
     int64_t n_max = n_targets > 1 ? n_targets : 1;
     double *sa = calloc((size_t)m_max, sizeof(double));
     double *sb = calloc((size_t)m_max, sizeof(double));
-    double *tb = malloc((size_t)(9 * m_max) * sizeof(double));
+    double *tb = malloc((size_t)(8 * m_max) * sizeof(double));
     double *lbbuf = malloc((size_t)m_max * sizeof(double));
+    double *soa = malloc((size_t)(6 * m_max) * sizeof(double));
     double *lb0 = malloc((size_t)n_max * sizeof(double));
     int64_t *order = malloc((size_t)n_max * sizeof(int64_t));
     int64_t *tmp = malloc((size_t)n_max * sizeof(int64_t));
     if (sa == NULL || sb == NULL || tb == NULL || lbbuf == NULL ||
-        lb0 == NULL || order == NULL || tmp == NULL) {
-        free(sa); free(sb); free(tb); free(lbbuf);
+        soa == NULL || lb0 == NULL || order == NULL || tmp == NULL) {
+        free(sa); free(sb); free(tb); free(lbbuf); free(soa);
         free(lb0); free(order); free(tmp);
         return -1;
     }
@@ -574,7 +592,7 @@ int glove_bounded_many_vs_all(
                 continue;
             }
             double lb1 = bucket_bound(data, m_max, lengths, bhull, bocc,
-                                      n_buckets, a, t, lbbuf,
+                                      n_buckets, a, t, lbbuf, soa,
                                       w_sigma, w_tau, phi_sigma, phi_tau);
             if (lb1 > best) {
                 pruned[p]++;
@@ -593,7 +611,7 @@ int glove_bounded_many_vs_all(
         best_out[p] = best;
         best_idx_out[p] = best_idx;
     }
-    free(sa); free(sb); free(tb); free(lbbuf);
+    free(sa); free(sb); free(tb); free(lbbuf); free(soa);
     free(lb0); free(order); free(tmp);
     return 0;
 }
@@ -857,7 +875,7 @@ int glove_pairwise_matrix(
 {
     double *sa = calloc((size_t)m_max, sizeof(double));
     double *sb = calloc((size_t)m_max, sizeof(double));
-    double *tb = malloc((size_t)(9 * m_max) * sizeof(double));
+    double *tb = malloc((size_t)(8 * m_max) * sizeof(double));
     if (sa == NULL || sb == NULL || tb == NULL) {
         free(sa);
         free(sb);
@@ -888,10 +906,13 @@ int glove_pairwise_matrix(
 #: add/sub/mul/div/min/max are bit-identical to their scalar forms, so
 #: ``-march=native`` vectorization cannot change results; the explicit
 #: IEEE flags guard against distributions that alias ``cc`` to
-#: something exotic.  ``-march=native`` is dropped on compilers that
-#: reject it.
+#: something exotic.  Two flags are optional and dropped on compilers
+#: that reject them: ``-march=native``, and ``-fopenmp-simd``, which
+#: honours the ``omp simd`` min reduction of the exact kernel's row
+#: minimum (without it the pragma is ignored: same bits, scalar speed).
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 NATIVE_FLAG = "-march=native"
+SIMD_FLAG = "-fopenmp-simd"
 
 
 def _compiler() -> Optional[str]:
@@ -940,6 +961,7 @@ def _cache_path(compiler: Optional[str] = None) -> Path:
         C_SOURCE,
         " ".join(CFLAGS),
         NATIVE_FLAG,
+        SIMD_FLAG,
         platform.machine(),
         compiler or "",
         _compiler_version(compiler),
@@ -959,7 +981,12 @@ def _compile(cache: Path, compiler: Optional[str]) -> bool:
         src = Path(td) / "stretch.c"
         obj = Path(td) / "stretch.so"
         src.write_text(C_SOURCE)
-        for flags in ((*CFLAGS, NATIVE_FLAG), CFLAGS):
+        for flags in (
+            (*CFLAGS, NATIVE_FLAG, SIMD_FLAG),
+            (*CFLAGS, SIMD_FLAG),
+            (*CFLAGS, NATIVE_FLAG),
+            CFLAGS,
+        ):
             try:
                 subprocess.run(
                     [compiler, *flags, str(src), "-o", str(obj)],
@@ -971,6 +998,41 @@ def _compile(cache: Path, compiler: Optional[str]) -> bool:
                 continue
             os.replace(obj, cache)
             return True
+    return False
+
+
+def _truncated(path: Path) -> bool:
+    """Whether an ELF file ends before its own headers say it does.
+
+    ``dlopen`` maps a truncated library's segments past the end of the
+    file, and the first touch of that memory kills the process with
+    SIGBUS, so a cached library is checked before it is loaded.  A file
+    that is not ELF, or too short for an ELF header, is left to
+    ``dlopen``, which rejects it with a catchable error.
+    """
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        head = fh.read(64)
+        if len(head) < 64 or head[:4] != b"\x7fELF":
+            return False
+        end = "<" if head[5] == 1 else ">"
+        if head[4] == 2:  # ELF64: p_offset at 8, p_filesz at 32
+            word, at_offset, at_filesz = end + "Q", 8, 32
+            phoff, shoff = struct.unpack_from(end + "QQ", head, 32)
+            phsize, phnum, shsize, shnum = struct.unpack_from(end + "HHHH", head, 54)
+        else:  # ELF32: p_offset at 4, p_filesz at 16
+            word, at_offset, at_filesz = end + "I", 4, 16
+            phoff, shoff = struct.unpack_from(end + "II", head, 28)
+            phsize, phnum, shsize, shnum = struct.unpack_from(end + "HHHH", head, 42)
+        if phoff + phnum * phsize > size or shoff + shnum * shsize > size:
+            return True
+        fh.seek(phoff)
+        for _ in range(phnum):
+            entry = fh.read(phsize)
+            (offset,) = struct.unpack_from(word, entry, at_offset)
+            (filesz,) = struct.unpack_from(word, entry, at_filesz)
+            if offset + filesz > size:
+                return True
     return False
 
 
@@ -1060,12 +1122,80 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     return lib
 
 
+def _parity_smoke(lib: ctypes.CDLL) -> bool:
+    """Whether ``lib`` agrees bitwise with the pure twins on one fixed
+    pair and one bounded sweep.
+
+    The pair's probe is longer than every stored fingerprint, so the
+    exact kernel swaps sides and hoists the probe into its scratch; the
+    sweep runs both bound levels, the exact kernel and the pruning walk.
+    """
+    import numpy as np
+
+    # Imported here: kernels binds this module while it is itself still
+    # importing, after its pure twins are defined.
+    from repro.core.kernels import (
+        bounded_many_vs_some_pure,
+        one_vs_all_pure,
+        summarize_slots_pure,
+    )
+
+    # Four slots over three 60-minute buckets: slot 1 repeats two of
+    # slot 0's samples, slot 3 is slot 2's coincident twin (both bounds
+    # and the effort are +0, so a threshold of 0.0 must not prune it),
+    # and slot 2 occupies only the last bucket.
+    rows = np.array([
+        [0.0, 40.0, 0.0, 40.0, 10.0, 30.0],
+        [5000.0, 0.0, 300.0, 0.0, 70.0, 0.0],
+        [10000.0, 120.0, 1800.0, 60.0, 150.0, 20.0],
+    ])
+    data = np.zeros((4, 3, 6))
+    data[0] = rows
+    data[1, :2] = rows[[0, 2]]
+    data[2:, 0] = rows[2]
+    lengths = np.array([3, 2, 1, 1], dtype=np.int64)
+    counts = np.array([2, 1, 3, 1], dtype=np.int64)
+    probe = np.vstack([rows[::-1], [[30000.0, 0.0, 5.0, 10.0, 170.0, 5.0]]])
+    args = (0.5, 0.5, 20_000.0, 480.0)
+    slots = np.arange(4, dtype=np.int64)
+    out = np.empty(4)
+    lib.glove_one_vs_all(probe, 4, 2.0, data, 3, lengths, counts, slots, 4, *args, out)
+    ref = one_vs_all_pure(probe, 2.0, data, lengths, counts, slots, *args)
+    if not np.array_equal(out, ref):
+        return False
+
+    edges = np.array([0.0, 60.0, 120.0, 180.0])
+    hull = np.empty((6, 4))
+    bhull = np.empty((4, 3, 6))
+    bocc = np.zeros((4, 3), dtype=bool)
+    summarize_slots_pure(data, lengths, slots, edges, hull, bhull, bocc)
+    probes = np.array([0, 1, 2], dtype=np.int64)
+    flat = np.array([1, 2, 3, 0, 2, 3, 0], dtype=np.int64)
+    offsets = np.array([0, 3, 5, 7], dtype=np.int64)
+    thresholds = np.array([1.0, 0.05, 0.0])
+    reverse = np.array([0, 0, 0, 1, 1, 0, 0], dtype=np.uint8)
+    best_vals = np.array([0.2, 0.0, np.inf, np.inf])
+    out = np.empty(7)
+    pruned = np.zeros(3, dtype=np.int64)
+    lib.glove_bounded_many_vs_some(
+        probes, 3, data, 3, lengths, counts, hull, 4,
+        bhull, bocc.view(np.uint8), 3, flat, offsets,
+        thresholds, reverse, best_vals, *args, out, pruned,
+    )
+    ref_out, ref_pruned = bounded_many_vs_some_pure(
+        probes, data, lengths, counts, hull, bhull, bocc,
+        flat, offsets, thresholds, reverse.view(bool), best_vals, *args,
+    )
+    return np.array_equal(out, ref_out) and np.array_equal(pruned, ref_pruned)
+
+
 def load() -> Optional[ctypes.CDLL]:
     """Compile (once per source revision) and load the shared library.
 
     Returns ``None`` — and the callers fall back to the pure tier —
     when the tier is disabled via ``REPRO_CC_KERNEL=0`` or any build
-    step fails.
+    step fails, and also, with a warning, when a cached library fails
+    to load or to reproduce the pure twins' bits (:func:`_parity_smoke`).
     """
     if os.environ.get("REPRO_CC_KERNEL", "1") == "0":
         return None
@@ -1074,7 +1204,25 @@ def load() -> Optional[ctypes.CDLL]:
         cache = _cache_path(compiler)
         if not cache.exists() and not _compile(cache, compiler):
             return None
-        return _bind(ctypes.CDLL(str(cache)))
+        try:
+            if _truncated(cache):
+                raise OSError("truncated file")
+            lib = _bind(ctypes.CDLL(str(cache)))
+        except OSError as exc:
+            warnings.warn(
+                f"cannot load the cc stretch kernel {cache} ({exc}); "
+                "falling back to the pure tier",
+                RuntimeWarning,
+            )
+            return None
+        if not _parity_smoke(lib):
+            warnings.warn(
+                f"the cc stretch kernel {cache} disagrees with the pure "
+                "kernels; falling back to the pure tier",
+                RuntimeWarning,
+            )
+            return None
+        return lib
     except (OSError, ValueError):
         return None
 

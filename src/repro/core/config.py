@@ -11,6 +11,7 @@ of ~15 min.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -288,6 +289,10 @@ class StretchConfig:
         Normalization weights of the spatial and temporal contributions
         in Eq. 1.  The paper uses 1/2 and 1/2 so that the sample stretch
         effort lies in [0, 1].
+
+    All four must be finite: every comparison with NaN is false, so a
+    NaN would slip past the range checks, and the kernels' order-free
+    minima rely on every effort being >= +0 and never NaN (DESIGN.md D9).
     """
 
     phi_max_sigma_m: float = 20_000.0
@@ -296,6 +301,9 @@ class StretchConfig:
     w_tau: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("phi_max_sigma_m", "phi_max_tau_min", "w_sigma", "w_tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.phi_max_sigma_m <= 0:
             raise ValueError("phi_max_sigma_m must be positive")
         if self.phi_max_tau_min <= 0:

@@ -150,41 +150,40 @@ def _build_kernels(decorate):
         return ret
 
     @decorate
-    def pair_effort(
-        a_data, n_a, b_data, mb, n_b,
-        scratch_a, scratch_b, pad_width,
+    def cross_minima(
+        outer, m_o, inner, m_i, w_o, w_i, row_min, col_min,
         w_sigma, w_tau, phi_sigma, phi_tau,
     ):
-        ma = a_data.shape[0]
-        w_a = n_a / (n_a + n_b)
-        w_b = n_b / (n_a + n_b)
-        for i in range(ma):
-            scratch_a[i] = np.inf
-        for j in range(mb):
-            scratch_b[j] = np.inf
-        for i in range(ma):
-            axi = a_data[i, X]
-            ayi = a_data[i, Y]
-            ati = a_data[i, T]
-            ahx = axi + a_data[i, DX]
-            ahy = ayi + a_data[i, DY]
-            aht = ati + a_data[i, DT]
-            wa_ext = w_a * (a_data[i, DX] + a_data[i, DY])
-            wa_t = w_a * a_data[i, DT]
-            for j in range(mb):
-                bxj = b_data[j, X]
-                byj = b_data[j, Y]
-                btj = b_data[j, T]
-                bhx = bxj + b_data[j, DX]
-                bhy = byj + b_data[j, DY]
-                bht = btj + b_data[j, DT]
+        # Row minima of the m_o x m_i Eq. 1 cell matrix into row_min,
+        # column minima into col_min; the inner loop runs over the
+        # longer side (the C twin's vectorized loop).  Every cell is
+        # >= +0 and never NaN, so both minima are order-free.
+        for j in range(m_i):
+            col_min[j] = np.inf
+        for i in range(m_o):
+            axi = outer[i, X]
+            ayi = outer[i, Y]
+            ati = outer[i, T]
+            ahx = axi + outer[i, DX]
+            ahy = ayi + outer[i, DY]
+            aht = ati + outer[i, DT]
+            wa_ext = w_o * (outer[i, DX] + outer[i, DY])
+            wa_t = w_o * outer[i, DT]
+            m = np.inf
+            for j in range(m_i):
+                bxj = inner[j, X]
+                byj = inner[j, Y]
+                btj = inner[j, T]
+                bhx = bxj + inner[j, DX]
+                bhy = byj + inner[j, DY]
+                bht = btj + inner[j, DT]
                 ux = (ahx if ahx > bhx else bhx) - (axi if axi < bxj else bxj)
                 uy = (ahy if ahy > bhy else bhy) - (ayi if ayi < byj else byj)
                 ut = (aht if aht > bht else bht) - (ati if ati < btj else btj)
-                raw_s = (ux + uy) - (wa_ext + w_b * (b_data[j, DX] + b_data[j, DY]))
+                raw_s = (ux + uy) - (wa_ext + w_i * (inner[j, DX] + inner[j, DY]))
                 if not raw_s > 0.0:
                     raw_s = 0.0
-                raw_t = ut - (wa_t + w_b * b_data[j, DT])
+                raw_t = ut - (wa_t + w_i * inner[j, DT])
                 if not raw_t > 0.0:
                     raw_t = 0.0
                 s_term = raw_s / phi_sigma
@@ -194,21 +193,43 @@ def _build_kernels(decorate):
                 if not t_term < 1.0:
                     t_term = 1.0
                 d = w_sigma * s_term + w_tau * t_term
-                if d < scratch_a[i]:
-                    scratch_a[i] = d
-                if d < scratch_b[j]:
-                    scratch_b[j] = d
-        mean_a = pairwise_sum(scratch_a, 0, pad_width) / ma
-        mean_b = pairwise_sum(scratch_b, 0, pad_width) / mb
+                if d < col_min[j]:
+                    col_min[j] = d
+                if d < m:
+                    m = d
+            row_min[i] = m
+
+    @decorate
+    def pair_effort(
+        a_data, n_a, b_data, mb, n_b,
+        scratch_a, scratch_b, pad_width,
+        w_sigma, w_tau, phi_sigma, phi_tau,
+    ):
+        # The cell is bitwise symmetric in (a, b) -- the clamps absorb
+        # any sign of zero and w_a * x + w_b * y commutes -- so the
+        # shorter side is always the outer loop.
+        ma = a_data.shape[0]
+        w_a = n_a / (n_a + n_b)
+        w_b = n_b / (n_a + n_b)
+        if ma > mb:
+            cross_minima(
+                b_data, mb, a_data, ma, w_b, w_a, scratch_b, scratch_a,
+                w_sigma, w_tau, phi_sigma, phi_tau,
+            )
+            res = pairwise_sum(scratch_a, 0, pad_width) / ma
+        else:
+            cross_minima(
+                a_data, ma, b_data, mb, w_a, w_b, scratch_a, scratch_b,
+                w_sigma, w_tau, phi_sigma, phi_tau,
+            )
+            res = pairwise_sum(scratch_b, 0, pad_width) / mb
+            if ma == mb:
+                res = (pairwise_sum(scratch_a, 0, pad_width) / ma + res) / 2.0
         for i in range(ma):
             scratch_a[i] = 0.0
         for j in range(mb):
             scratch_b[j] = 0.0
-        if ma > mb:
-            return mean_a
-        if mb > ma:
-            return mean_b
-        return (mean_a + mean_b) / 2.0
+        return res
 
     @decorate
     def one_vs_all_arrays(
@@ -340,74 +361,69 @@ def _build_kernels(decorate):
         return w_sigma * s_term + w_tau * t_term
 
     @decorate
+    def bucket_min(
+        data, s, m, bucket_hull, bucket_occ, h, soa, out,
+        w_sigma, w_tau, phi_sigma, phi_tau,
+    ):
+        # Per-sample minimum of slot s's first m samples against the
+        # occupied bucket hulls of slot h (+inf where none is
+        # occupied), buckets outer and samples inner over the (6,
+        # m_max) SoA copy of the sample hulls -- the C twin's vectorized
+        # loop order.  Each sample still folds the buckets in ascending
+        # order.
+        for i in range(m):
+            soa[0, i] = data[s, i, X]
+            soa[1, i] = data[s, i, X] + data[s, i, DX]
+            soa[2, i] = data[s, i, Y]
+            soa[3, i] = data[s, i, Y] + data[s, i, DY]
+            soa[4, i] = data[s, i, T]
+            soa[5, i] = data[s, i, T] + data[s, i, DT]
+            out[i] = np.inf
+        for b in range(bucket_occ.shape[1]):
+            if not bucket_occ[h, b]:
+                continue
+            for i in range(m):
+                gx = interval_gap(soa[0, i], soa[1, i], bucket_hull[h, b, 0], bucket_hull[h, b, 1])
+                gy = interval_gap(soa[2, i], soa[3, i], bucket_hull[h, b, 2], bucket_hull[h, b, 3])
+                gt = interval_gap(soa[4, i], soa[5, i], bucket_hull[h, b, 4], bucket_hull[h, b, 5])
+                s_term = (gx + gy) / phi_sigma
+                if not s_term < 1.0:
+                    s_term = 1.0
+                t_term = gt / phi_tau
+                if not t_term < 1.0:
+                    t_term = 1.0
+                v = w_sigma * s_term + w_tau * t_term
+                if not out[i] < v:
+                    out[i] = v
+
+    @decorate
     def bucket_bound(
-        data, lengths, bucket_hull, bucket_occ, a, c, lbbuf,
+        data, lengths, bucket_hull, bucket_occ, a, c, lbbuf, soa,
         w_sigma, w_tau, phi_sigma, phi_tau,
     ):
         # Level-1 bound: samples vs per-time-bucket hulls following
         # Eq. 10's longer-side rule — the scalar twin of
-        # StretchEngine.bucket_lower_bounds.  The a-side direction folds
-        # the minimum over *all* buckets (unoccupied contribute +inf);
-        # the c-side direction folds only the probe's occupied buckets
-        # and sums a zero-padded width-m_max vector, replicating the
-        # reference's block-composition-independent masked mean.
+        # StretchEngine.bucket_lower_bounds.  The a-side direction
+        # means a's per-sample minima over c's buckets; the c-side
+        # direction sums c's minima over the probe's buckets as a
+        # zero-padded width-m_max vector, replicating the reference's
+        # block-composition-independent masked mean.
         ma = lengths[a]
         mc = lengths[c]
         m_max = data.shape[1]
-        n_buckets = bucket_occ.shape[1]
         la = 0.0
         lb = 0.0
         if ma >= mc:
-            for i in range(ma):
-                sx = data[a, i, X]
-                shx = sx + data[a, i, DX]
-                sy = data[a, i, Y]
-                shy = sy + data[a, i, DY]
-                st = data[a, i, T]
-                sht = st + data[a, i, DT]
-                m = np.inf
-                for b in range(n_buckets):
-                    if bucket_occ[c, b]:
-                        gx = interval_gap(sx, shx, bucket_hull[c, b, 0], bucket_hull[c, b, 1])
-                        gy = interval_gap(sy, shy, bucket_hull[c, b, 2], bucket_hull[c, b, 3])
-                        gt = interval_gap(st, sht, bucket_hull[c, b, 4], bucket_hull[c, b, 5])
-                        s_term = (gx + gy) / phi_sigma
-                        if not s_term < 1.0:
-                            s_term = 1.0
-                        t_term = gt / phi_tau
-                        if not t_term < 1.0:
-                            t_term = 1.0
-                        v = w_sigma * s_term + w_tau * t_term
-                    else:
-                        v = np.inf
-                    if not m < v:
-                        m = v
-                lbbuf[i] = m
+            bucket_min(
+                data, a, ma, bucket_hull, bucket_occ, c, soa, lbbuf,
+                w_sigma, w_tau, phi_sigma, phi_tau,
+            )
             la = pairwise_sum(lbbuf, 0, ma) / ma
         if mc >= ma:
-            for j in range(mc):
-                sx = data[c, j, X]
-                shx = sx + data[c, j, DX]
-                sy = data[c, j, Y]
-                shy = sy + data[c, j, DY]
-                st = data[c, j, T]
-                sht = st + data[c, j, DT]
-                m = np.inf
-                for b in range(n_buckets):
-                    if bucket_occ[a, b]:
-                        gx = interval_gap(sx, shx, bucket_hull[a, b, 0], bucket_hull[a, b, 1])
-                        gy = interval_gap(sy, shy, bucket_hull[a, b, 2], bucket_hull[a, b, 3])
-                        gt = interval_gap(st, sht, bucket_hull[a, b, 4], bucket_hull[a, b, 5])
-                        s_term = (gx + gy) / phi_sigma
-                        if not s_term < 1.0:
-                            s_term = 1.0
-                        t_term = gt / phi_tau
-                        if not t_term < 1.0:
-                            t_term = 1.0
-                        v = w_sigma * s_term + w_tau * t_term
-                        if not m < v:
-                            m = v
-                lbbuf[j] = m
+            bucket_min(
+                data, c, mc, bucket_hull, bucket_occ, a, soa, lbbuf,
+                w_sigma, w_tau, phi_sigma, phi_tau,
+            )
             for j in range(mc, m_max):
                 lbbuf[j] = 0.0
             lb = pairwise_sum(lbbuf, 0, m_max) / mc
@@ -494,6 +510,7 @@ def _build_kernels(decorate):
         scratch_a = np.zeros(m_max)
         scratch_b = np.zeros(m_max)
         lbbuf = np.empty(m_max)
+        soa = np.empty((6, m_max))
         for p in range(P):
             a = probe_slots[p]
             ma = lengths[a]
@@ -521,7 +538,7 @@ def _build_kernels(decorate):
                     pruned[p] += 1
                     continue
                 lb1 = bucket_bound(
-                    data, lengths, bucket_hull, bucket_occ, a, t, lbbuf,
+                    data, lengths, bucket_hull, bucket_occ, a, t, lbbuf, soa,
                     w_sigma, w_tau, phi_sigma, phi_tau,
                 )
                 if lb1 > best and ((not rev) or lb1 >= best_vals[t]):
@@ -565,6 +582,7 @@ def _build_kernels(decorate):
         scratch_a = np.zeros(m_max)
         scratch_b = np.zeros(m_max)
         lbbuf = np.empty(m_max)
+        soa = np.empty((6, m_max))
         for p in range(P):
             a = probe_slots[p]
             ma = lengths[a]
@@ -586,7 +604,7 @@ def _build_kernels(decorate):
                     pruned[p] += 1
                     continue
                 lb1 = bucket_bound(
-                    data, lengths, bucket_hull, bucket_occ, a, t, lbbuf,
+                    data, lengths, bucket_hull, bucket_occ, a, t, lbbuf, soa,
                     w_sigma, w_tau, phi_sigma, phi_tau,
                 )
                 if lb1 > best:

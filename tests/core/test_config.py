@@ -31,6 +31,26 @@ class TestStretchConfig:
         with pytest.raises(ValueError):
             StretchConfig(w_sigma=-0.5, w_tau=1.5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"phi_max_sigma_m": float("nan")},
+            {"phi_max_tau_min": float("nan")},
+            {"w_sigma": float("nan"), "w_tau": float("nan")},
+            {"w_sigma": float("nan")},
+            {"phi_max_sigma_m": float("inf")},
+            {"phi_max_tau_min": float("inf")},
+            {"phi_max_sigma_m": float("-inf")},
+            {"phi_max_tau_min": float("-inf")},
+            {"w_sigma": float("inf"), "w_tau": float("-inf")},
+        ],
+    )
+    def test_rejects_non_finite_values(self, kwargs):
+        # Every comparison with NaN is false, so NaN used to pass all
+        # the range checks; +-inf phis passed too.
+        with pytest.raises(ValueError, match="must be finite"):
+            StretchConfig(**kwargs)
+
     def test_frozen(self):
         with pytest.raises(AttributeError):
             StretchConfig().w_sigma = 0.9
