@@ -33,6 +33,8 @@ import warnings
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from repro.core.artifacts import default_artifact_dir
 
 C_SOURCE = r"""
@@ -667,12 +669,13 @@ static int64_t cell_argmin(
  * free; stage 2 prices every leftover against the stage-1 rows, then
  * folds them one at a time, each fold recomputing the upper edge as
  * low + extent of the previous one (lo + (hi - lo) need not be hi).
- * out needs ms rows; *n_out receives the row count. */
-int glove_merge_samples(
+ * out needs ms rows; returns the row count, or -1 when the scratch
+ * allocation fails. */
+int64_t glove_merge_samples(
     const double *lng, int64_t ml, const double *sht, int64_t ms,
     double n_long, double n_short,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau,
-    int64_t reshape, double atol, double *out, int64_t *n_out)
+    int64_t reshape, double atol, double *out)
 {
     size_t cells = (size_t)(ms > 0 ? ms : 1);
     double *acc = malloc(cells * 2 * NCOLS * sizeof(double));
@@ -760,10 +763,9 @@ int glove_merge_samples(
         for (int c = 0; c < NCOLS; c++)
             out[r * NCOLS + c] = merged[order[r] * NCOLS + c];
     if (!reshape || n < 2) {
-        *n_out = n;
         free(acc);
         free(target);
-        return 0;
+        return n;
     }
     /* Reshape: every run of temporally overlapping rows becomes its
      * generalization; runs are contiguous and emitted in order, so
@@ -802,10 +804,9 @@ int glove_merge_samples(
             end = out[r * NCOLS + TCOL] + out[r * NCOLS + DTCOL];
         }
     }
-    *n_out = g;
     free(acc);
     free(target);
-    return 0;
+    return g;
 }
 
 /* StretchEngine._summarize for every slot in slots: the (6, hull_cap)
@@ -1036,88 +1037,117 @@ def _truncated(path: Path) -> bool:
     return False
 
 
-def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    import numpy.ctypeslib as npc
+#: The element types the C entries read, by parameter kind: float64
+#: tensors, int64 ids/lengths/offsets, and the one-byte masks (the
+#: engine's bool occupancy and reverse flags, read as uint8).
+F64 = np.dtype(np.float64)
+I64 = np.dtype(np.int64)
+BOOL = np.dtype(np.bool_)
 
-    f64 = npc.ndpointer(dtype="float64", flags="C_CONTIGUOUS")
-    i64 = npc.ndpointer(dtype="int64", flags="C_CONTIGUOUS")
+
+def address(a: np.ndarray, dtype: np.dtype) -> int:
+    """The data address of ``a`` for a ``c_void_p`` parameter.
+
+    Raises ``TypeError`` for an argument that is not an ndarray, has
+    another dtype, or is not C-contiguous: the C side reads ``a`` as a
+    dense buffer of ``dtype``.  The address is only valid while ``a``
+    is alive, so the caller keeps ``a`` bound to a name until the C
+    call has returned (DESIGN.md D9, "Crossing cost").
+    """
+    if not isinstance(a, np.ndarray):
+        raise TypeError("argument must be an ndarray")
+    if a.dtype != dtype:
+        raise TypeError(f"array must have data type {np.dtype(dtype)}")
+    if not a.flags.c_contiguous:
+        raise TypeError("array must have flags ['C_CONTIGUOUS']")
+    return a.ctypes.data
+
+
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """Declare the C entries' signatures on ``lib``.
+
+    Every array parameter is a raw ``c_void_p`` address: ctypes
+    converts a Python int in C, and the dtype and contiguity checks
+    happen in :func:`address`, once per buffer for the buffers whose
+    owners keep their addresses (DESIGN.md D9, "Crossing cost").
+    """
+    ptr = ctypes.c_void_p
     c_i64 = ctypes.c_int64
     c_f64 = ctypes.c_double
     lib.glove_one_vs_all.restype = ctypes.c_int
     lib.glove_one_vs_all.argtypes = [
-        f64, c_i64, c_f64,                 # a_data, ma, n_a
-        f64, c_i64,                        # data, m_max
-        i64, i64,                          # lengths, counts
-        i64, c_i64,                        # targets, n_targets
+        ptr, c_i64, c_f64,                 # a_data, ma, n_a
+        ptr, c_i64,                        # data, m_max
+        ptr, ptr,                          # lengths, counts
+        ptr, c_i64,                        # targets, n_targets
         c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64,                               # out
+        ptr,                               # out
     ]
     lib.glove_pairwise_matrix.restype = ctypes.c_int
     lib.glove_pairwise_matrix.argtypes = [
-        f64, c_i64, c_i64,                 # data, n, m_max
-        i64, i64,                          # lengths, counts
+        ptr, c_i64, c_i64,                 # data, n, m_max
+        ptr, ptr,                          # lengths, counts
         c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64,                               # mat
+        ptr,                               # mat
     ]
     lib.glove_many_vs_all.restype = ctypes.c_int
     lib.glove_many_vs_all.argtypes = [
-        f64, c_i64,                        # p_data, p_m_max
-        i64, i64, c_i64,                   # p_lengths, p_counts, n_probes
-        f64, c_i64,                        # data, m_max
-        i64, i64,                          # lengths, counts
-        i64, c_i64,                        # targets, n_targets
+        ptr, c_i64,                        # p_data, p_m_max
+        ptr, ptr, c_i64,                   # p_lengths, p_counts, n_probes
+        ptr, c_i64,                        # data, m_max
+        ptr, ptr,                          # lengths, counts
+        ptr, c_i64,                        # targets, n_targets
         c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64,                               # out
+        ptr,                               # out
     ]
     lib.glove_many_vs_some.restype = ctypes.c_int
     lib.glove_many_vs_some.argtypes = [
-        f64, c_i64,                        # p_data, p_m_max
-        i64, i64, c_i64,                   # p_lengths, p_counts, n_probes
-        f64, c_i64,                        # data, m_max
-        i64, i64,                          # lengths, counts
-        i64, i64,                          # flat_targets, offsets
+        ptr, c_i64,                        # p_data, p_m_max
+        ptr, ptr, c_i64,                   # p_lengths, p_counts, n_probes
+        ptr, c_i64,                        # data, m_max
+        ptr, ptr,                          # lengths, counts
+        ptr, ptr,                          # flat_targets, offsets
         c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64,                               # out
+        ptr,                               # out
     ]
-    u8 = npc.ndpointer(dtype="uint8", flags="C_CONTIGUOUS")
     lib.glove_bounded_many_vs_some.restype = ctypes.c_int
     lib.glove_bounded_many_vs_some.argtypes = [
-        i64, c_i64,                        # probe_slots, n_probes
-        f64, c_i64,                        # data, m_max
-        i64, i64,                          # lengths, counts
-        f64, c_i64,                        # hull, hull_cap
-        f64, u8, c_i64,                    # bucket_hull, bucket_occ, n_buckets
-        i64, i64,                          # flat_targets, offsets
-        f64, u8, f64,                      # thresholds, reverse, best_vals
+        ptr, c_i64,                        # probe_slots, n_probes
+        ptr, c_i64,                        # data, m_max
+        ptr, ptr,                          # lengths, counts
+        ptr, c_i64,                        # hull, hull_cap
+        ptr, ptr, c_i64,                   # bucket_hull, bucket_occ, n_buckets
+        ptr, ptr,                          # flat_targets, offsets
+        ptr, ptr, ptr,                     # thresholds, reverse, best_vals
         c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64, i64,                          # out, pruned
+        ptr, ptr,                          # out, pruned
     ]
     lib.glove_bounded_many_vs_all.restype = ctypes.c_int
     lib.glove_bounded_many_vs_all.argtypes = [
-        i64, c_i64,                        # probe_slots, n_probes
-        f64, c_i64,                        # data, m_max
-        i64, i64,                          # lengths, counts
-        f64, c_i64,                        # hull, hull_cap
-        f64, u8, c_i64,                    # bucket_hull, bucket_occ, n_buckets
-        i64, c_i64,                        # targets, n_targets
-        f64,                               # thresholds
+        ptr, c_i64,                        # probe_slots, n_probes
+        ptr, c_i64,                        # data, m_max
+        ptr, ptr,                          # lengths, counts
+        ptr, c_i64,                        # hull, hull_cap
+        ptr, ptr, c_i64,                   # bucket_hull, bucket_occ, n_buckets
+        ptr, c_i64,                        # targets, n_targets
+        ptr,                               # thresholds
         c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64, i64, i64,                     # best, best_idx, pruned
+        ptr, ptr, ptr,                     # best, best_idx, pruned
     ]
-    lib.glove_merge_samples.restype = ctypes.c_int
+    lib.glove_merge_samples.restype = ctypes.c_int64
     lib.glove_merge_samples.argtypes = [
-        f64, c_i64, f64, c_i64,            # long, ml, short, ms
+        ptr, c_i64, ptr, c_i64,            # long, ml, short, ms
         c_f64, c_f64,                      # n_long, n_short
         c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
         c_i64, c_f64,                      # reshape, atol
-        f64, i64,                          # out, n_out
+        ptr,                               # out
     ]
     lib.glove_summarize_slots.restype = None
     lib.glove_summarize_slots.argtypes = [
-        f64, c_i64, i64,                   # data, m_max, lengths
-        i64, c_i64,                        # slots, n_slots
-        f64, c_i64,                        # edges, n_buckets
-        f64, c_i64, f64, u8,               # hull, hull_cap, bucket_hull, bucket_occ
+        ptr, c_i64, ptr,                   # data, m_max, lengths
+        ptr, c_i64,                        # slots, n_slots
+        ptr, c_i64,                        # edges, n_buckets
+        ptr, c_i64, ptr, ptr,              # hull, hull_cap, bucket_hull, bucket_occ
     ]
     return lib
 
@@ -1130,8 +1160,6 @@ def _parity_smoke(lib: ctypes.CDLL) -> bool:
     exact kernel swaps sides and hoists the probe into its scratch; the
     sweep runs both bound levels, the exact kernel and the pruning walk.
     """
-    import numpy as np
-
     # Imported here: kernels binds this module while it is itself still
     # importing, after its pure twins are defined.
     from repro.core.kernels import (
@@ -1159,7 +1187,11 @@ def _parity_smoke(lib: ctypes.CDLL) -> bool:
     args = (0.5, 0.5, 20_000.0, 480.0)
     slots = np.arange(4, dtype=np.int64)
     out = np.empty(4)
-    lib.glove_one_vs_all(probe, 4, 2.0, data, 3, lengths, counts, slots, 4, *args, out)
+    lib.glove_one_vs_all(
+        address(probe, F64), 4, 2.0, address(data, F64), 3,
+        address(lengths, I64), address(counts, I64), address(slots, I64), 4,
+        *args, address(out, F64),
+    )
     ref = one_vs_all_pure(probe, 2.0, data, lengths, counts, slots, *args)
     if not np.array_equal(out, ref):
         return False
@@ -1173,18 +1205,21 @@ def _parity_smoke(lib: ctypes.CDLL) -> bool:
     flat = np.array([1, 2, 3, 0, 2, 3, 0], dtype=np.int64)
     offsets = np.array([0, 3, 5, 7], dtype=np.int64)
     thresholds = np.array([1.0, 0.05, 0.0])
-    reverse = np.array([0, 0, 0, 1, 1, 0, 0], dtype=np.uint8)
+    reverse = np.array([0, 0, 0, 1, 1, 0, 0], dtype=bool)
     best_vals = np.array([0.2, 0.0, np.inf, np.inf])
     out = np.empty(7)
     pruned = np.zeros(3, dtype=np.int64)
     lib.glove_bounded_many_vs_some(
-        probes, 3, data, 3, lengths, counts, hull, 4,
-        bhull, bocc.view(np.uint8), 3, flat, offsets,
-        thresholds, reverse, best_vals, *args, out, pruned,
+        address(probes, I64), 3, address(data, F64), 3,
+        address(lengths, I64), address(counts, I64), address(hull, F64), 4,
+        address(bhull, F64), address(bocc, BOOL), 3,
+        address(flat, I64), address(offsets, I64), address(thresholds, F64),
+        address(reverse, BOOL), address(best_vals, F64),
+        *args, address(out, F64), address(pruned, I64),
     )
     ref_out, ref_pruned = bounded_many_vs_some_pure(
         probes, data, lengths, counts, hull, bhull, bocc,
-        flat, offsets, thresholds, reverse.view(bool), best_vals, *args,
+        flat, offsets, thresholds, reverse, best_vals, *args,
     )
     return np.array_equal(out, ref_out) and np.array_equal(pruned, ref_pruned)
 

@@ -109,6 +109,25 @@ def grow_array(arr: np.ndarray, capacity: int, fill=0) -> np.ndarray:
     return out
 
 
+def _owned_addresses(*buffers) -> Optional[Tuple[int, ...]]:
+    """Raw addresses of ``(array, dtype)`` buffers on the cc tier, else None.
+
+    The owners of long-lived buffers (the slot store's tensors, the
+    engine's bound summaries) call this wherever they allocate or grow
+    them and keep the result next to the buffers, so a cc crossing
+    passes stored ints instead of resolving every address again.  An
+    address is replaced together with its buffer and dies with its
+    owner (DESIGN.md D9, "Crossing cost").  The numba and NumPy tiers
+    take the arrays themselves.
+    """
+    if kernels.COMPILED_TIER != "cc":
+        return None
+    # Already imported: kernels bound the cc tier through it.
+    from repro.core import _ckernel
+
+    return tuple(_ckernel.address(a, dtype) for a, dtype in buffers)
+
+
 # ----------------------------------------------------------------------
 # Slot store: padded tensors + slot lifecycle
 # ----------------------------------------------------------------------
@@ -142,6 +161,7 @@ class SlotStore:
         self.alive = np.zeros(capacity, dtype=bool)
         self.fps: List[Optional[Fingerprint]] = [None] * capacity
         self.size = 0
+        self._resolve()
         for fp in fps:
             self.append(fp)
 
@@ -160,6 +180,13 @@ class SlotStore:
         for name in ("data", "mask", "lengths", "counts", "alive"):
             setattr(self, name, grow_array(getattr(self, name), new_cap))
         self.fps.extend([None] * (new_cap - len(self.fps)))
+        self._resolve()
+
+    def _resolve(self) -> None:
+        # The cc addresses of (data, lengths, counts), or None.
+        self.addrs = _owned_addresses(
+            (self.data, np.float64), (self.lengths, np.int64), (self.counts, np.int64)
+        )
 
     def append(self, fp: Fingerprint) -> int:
         """Store a fingerprint in the next free slot; returns the slot id."""
@@ -675,14 +702,18 @@ class CompiledBackend(StretchBackend):
             packed.data, packed.lengths, packed.counts, *self._args()
         )
 
-    def bounded_many_vs_all(self, probe_slots, store, bounds, targets, thresholds):
+    def bounded_many_vs_all(
+        self, probe_slots, store, bounds, targets, thresholds, owned=None
+    ):
         """Fused bound-and-prune argmin sweep (DESIGN.md D13).
 
         Per probe slot, returns the running-best ``(min, argmin)`` over
         ``targets`` (self-pairs skipped in-kernel) plus the count of
         pairs whose exact evaluation the inline level-0/level-1 bounds
         pruned.  Probes are independent, so the thread splitter applies
-        unchanged.
+        unchanged.  ``owned`` carries the cc addresses of the store and
+        ``bounds`` buffers when their owner resolved them
+        (:meth:`StretchEngine._owned`).
         """
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         targets = np.ascontiguousarray(targets, dtype=np.int64)
@@ -700,11 +731,14 @@ class CompiledBackend(StretchBackend):
         self.n_probe_dispatches += P
         self.n_batched_probes += P
         args = self._args()
+        # Only the cc wrappers take owner-held addresses; the numba
+        # entries take the arrays alone.
+        kw = {} if owned is None else {"owned": owned}
 
         def run(s: int, e: int):
             return kernels.bounded_many_vs_all_arrays(
                 probe_slots[s:e], store.data, store.lengths, store.counts,
-                hull, bucket_hull, bucket_occ, targets, thresholds[s:e], *args,
+                hull, bucket_hull, bucket_occ, targets, thresholds[s:e], *args, **kw,
             )
 
         if len(slices) == 1:
@@ -724,7 +758,7 @@ class CompiledBackend(StretchBackend):
 
     def bounded_many_vs_some(
         self, probe_slots, store, bounds, targets_list, thresholds,
-        reverse_list, best_vals,
+        reverse_list, best_vals, owned=None,
     ):
         """Fused bound-and-prune row sweep with reverse-aware skipping.
 
@@ -732,7 +766,8 @@ class CompiledBackend(StretchBackend):
         positions plus per-probe pruned counts.  ``reverse`` pairs are
         only skipped when the bound also clears the target's cached
         best (``best_vals``), keeping reverse propagation
-        value-transparent (DESIGN.md D13).
+        value-transparent (DESIGN.md D13).  ``owned`` is as in
+        :meth:`bounded_many_vs_all`.
         """
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         P = probe_slots.shape[0]
@@ -757,6 +792,7 @@ class CompiledBackend(StretchBackend):
             ]
             self.n_boundary_crossings += len(slices)
             args = self._args()
+            kw = {} if owned is None else {"owned": owned}
 
             def run(s: int, e: int):
                 return kernels.bounded_many_vs_some_arrays(
@@ -766,7 +802,7 @@ class CompiledBackend(StretchBackend):
                     np.ascontiguousarray(offsets[s : e + 1] - offsets[s]),
                     thresholds[s:e],
                     flat_reverse[offsets[s] : offsets[e]],
-                    best_vals, *args,
+                    best_vals, *args, **kw,
                 )
 
             if len(slices) == 1:
@@ -851,18 +887,20 @@ class AutoBackend(StretchBackend):
     def many_vs_some(self, probes, probe_counts, packed, targets_list):
         return self._inline.many_vs_some(probes, probe_counts, packed, targets_list)
 
-    def bounded_many_vs_all(self, probe_slots, store, bounds, targets, thresholds):
+    def bounded_many_vs_all(
+        self, probe_slots, store, bounds, targets, thresholds, owned=None
+    ):
         return self._inline.bounded_many_vs_all(
-            probe_slots, store, bounds, targets, thresholds
+            probe_slots, store, bounds, targets, thresholds, owned
         )
 
     def bounded_many_vs_some(
         self, probe_slots, store, bounds, targets_list, thresholds,
-        reverse_list, best_vals,
+        reverse_list, best_vals, owned=None,
     ):
         return self._inline.bounded_many_vs_some(
             probe_slots, store, bounds, targets_list, thresholds,
-            reverse_list, best_vals,
+            reverse_list, best_vals, owned,
         )
 
     def pairwise_matrix(self, packed):
@@ -1103,6 +1141,13 @@ class StretchEngine:
     def _bounds_pack(self):
         return (self._hull, self._bucket_hull, self._bucket_occ)
 
+    def _owned(self) -> Optional[Tuple[int, ...]]:
+        # On the cc tier, the addresses of the store and summary buffers
+        # in the bounded entries' argument order, read from their owners
+        # at call time; None elsewhere.
+        store_addrs = self.store.addrs
+        return None if store_addrs is None else store_addrs + self._bound_addrs
+
     def _thresholds(self, n: int, thresholds) -> np.ndarray:
         if thresholds is None:
             return np.full(n, np.inf, dtype=np.float64)
@@ -1123,7 +1168,7 @@ class StretchEngine:
         slots_arr = np.ascontiguousarray(slots, dtype=np.int64)
         return self.backend.bounded_many_vs_all(
             slots_arr, self.store, self._bounds_pack(),
-            targets, self._thresholds(slots_arr.size, thresholds),
+            targets, self._thresholds(slots_arr.size, thresholds), self._owned(),
         )
 
     def bounded_rows_some(
@@ -1147,6 +1192,7 @@ class StretchEngine:
         return self.backend.bounded_many_vs_some(
             slots_arr, self.store, self._bounds_pack(), targets_list,
             self._thresholds(slots_arr.size, thresholds), reverse_list, best_vals,
+            self._owned(),
         )
 
     # -- pruning summaries ---------------------------------------------
@@ -1170,18 +1216,30 @@ class StretchEngine:
         self._hull = np.zeros((6, cap), dtype=np.float64)
         self._bucket_hull = np.zeros((cap, n_buckets, 6), dtype=np.float64)
         self._bucket_occ = np.zeros((cap, n_buckets), dtype=bool)
+        self._edges_addrs = _owned_addresses((self._bucket_edges, np.float64))
+        self._resolve_bounds()
         self._summarize(np.arange(n, dtype=np.int64))
 
     def _ensure_bound_capacity(self) -> None:
         cap = self.store.capacity
+        if self._hull.shape[1] >= cap:
+            return
         # The SoA hull grows along columns (slots are axis 1); the
         # shared grow_array helper only grows rows.
-        if self._hull.shape[1] < cap:
-            hull = np.zeros((6, cap), dtype=np.float64)
-            hull[:, : self._hull.shape[1]] = self._hull
-            self._hull = hull
+        hull = np.zeros((6, cap), dtype=np.float64)
+        hull[:, : self._hull.shape[1]] = self._hull
+        self._hull = hull
         for name in ("_bucket_hull", "_bucket_occ"):
             setattr(self, name, grow_array(getattr(self, name), cap))
+        self._resolve_bounds()
+
+    def _resolve_bounds(self) -> None:
+        # The cc addresses of (hull, bucket_hull, bucket_occ), or None.
+        self._bound_addrs = _owned_addresses(
+            (self._hull, np.float64),
+            (self._bucket_hull, np.float64),
+            (self._bucket_occ, np.bool_),
+        )
 
     def _summarize(self, slots: np.ndarray) -> None:
         """Compute the hulls and per-bucket hulls of the given slots.
@@ -1193,9 +1251,13 @@ class StretchEngine:
             for slot in slots:
                 self._summarize_numpy(int(slot))
             return
+        store = self.store
+        kw = {}
+        if store.addrs is not None:
+            kw["owned"] = store.addrs[:2] + self._edges_addrs + self._bound_addrs
         kernels.summarize_slots_arrays(
-            self.store.data, self.store.lengths, slots, self._bucket_edges,
-            self._hull, self._bucket_hull, self._bucket_occ,
+            store.data, store.lengths, slots, self._bucket_edges,
+            self._hull, self._bucket_hull, self._bucket_occ, **kw,
         )
 
     def _summarize_numpy(self, slot: int) -> None:

@@ -861,23 +861,48 @@ def _build_kernels(decorate):
 
 
 def _bind_cc():
-    """ctypes wrappers over the system-compiled library, or ``None``."""
+    """ctypes wrappers over the system-compiled library, or ``None``.
+
+    Every array reaches C as a raw address (DESIGN.md D9, "Crossing
+    cost").  Buffers the kernels read or write in place — the store
+    tensors, packed probes, bound summaries and bucket edges — go
+    through ``_ckernel.address``, which refuses a wrong dtype or a
+    strided buffer.  Inputs that live for one call (probe ids, targets,
+    thresholds, CSR offsets, reverse flags, best values, merge sides)
+    are made contiguous first, so a strided view is copied, and each
+    copy stays bound to a local name until the C call returns: the
+    address of an unnamed temporary would dangle.  Outputs allocated
+    here need no check.
+
+    The bounded sweeps and the slot summaries also accept ``owned``:
+    the addresses of the store and summary buffers, resolved once by
+    their owners where the buffers are allocated (``SlotStore`` and
+    ``StretchEngine``), in the order the arrays are passed.  The
+    wrapper then skips resolving those buffers per call and trusts that
+    ``owned`` belongs to the arrays passed with it.  ``_ckernel.address``
+    is looked up at call time, so a replacement helper (the resolution
+    counter of ``tests/core/test_crossings.py``) sees every lookup.
+    """
     from repro.core import _ckernel
 
     lib = _ckernel.LIB
     if lib is None:
         return None
+    F64, I64, BOOL = _ckernel.F64, _ckernel.I64, _ckernel.BOOL
 
     def one_vs_all_cc(
         a_data, n_a, data, lengths, counts, targets,
         w_sigma, w_tau, phi_sigma, phi_tau,
     ):
+        addr = _ckernel.address
+        a_data = np.ascontiguousarray(a_data)
+        targets = np.ascontiguousarray(targets)
         out = np.empty(targets.shape[0], dtype=np.float64)
         rc = lib.glove_one_vs_all(
-            np.ascontiguousarray(a_data), a_data.shape[0], float(n_a),
-            data, data.shape[1], lengths, counts,
-            np.ascontiguousarray(targets), targets.shape[0],
-            w_sigma, w_tau, phi_sigma, phi_tau, out,
+            addr(a_data, F64), a_data.shape[0], float(n_a),
+            addr(data, F64), data.shape[1], addr(lengths, I64), addr(counts, I64),
+            addr(targets, I64), targets.shape[0],
+            w_sigma, w_tau, phi_sigma, phi_tau, out.ctypes.data,
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
@@ -886,11 +911,12 @@ def _bind_cc():
     def pairwise_matrix_cc(
         data, lengths, counts, w_sigma, w_tau, phi_sigma, phi_tau,
     ):
+        addr = _ckernel.address
         n = data.shape[0]
         mat = np.full((n, n), np.inf, dtype=np.float64)
         rc = lib.glove_pairwise_matrix(
-            data, n, data.shape[1], lengths, counts,
-            w_sigma, w_tau, phi_sigma, phi_tau, mat,
+            addr(data, F64), n, data.shape[1], addr(lengths, I64), addr(counts, I64),
+            w_sigma, w_tau, phi_sigma, phi_tau, mat.ctypes.data,
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
@@ -900,14 +926,17 @@ def _bind_cc():
         p_data, p_lengths, p_counts, data, lengths, counts, targets,
         w_sigma, w_tau, phi_sigma, phi_tau,
     ):
+        addr = _ckernel.address
         out = np.empty((p_data.shape[0], targets.shape[0]), dtype=np.float64)
         if out.size == 0:
             return out
+        targets = np.ascontiguousarray(targets)
         rc = lib.glove_many_vs_all(
-            p_data, p_data.shape[1], p_lengths, p_counts, p_data.shape[0],
-            data, data.shape[1], lengths, counts,
-            np.ascontiguousarray(targets), targets.shape[0],
-            w_sigma, w_tau, phi_sigma, phi_tau, out,
+            addr(p_data, F64), p_data.shape[1],
+            addr(p_lengths, I64), addr(p_counts, I64), p_data.shape[0],
+            addr(data, F64), data.shape[1], addr(lengths, I64), addr(counts, I64),
+            addr(targets, I64), targets.shape[0],
+            w_sigma, w_tau, phi_sigma, phi_tau, out.ctypes.data,
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
@@ -918,46 +947,52 @@ def _bind_cc():
         flat_targets, offsets,
         w_sigma, w_tau, phi_sigma, phi_tau,
     ):
+        addr = _ckernel.address
         out = np.empty(flat_targets.shape[0], dtype=np.float64)
         if out.size == 0:
             return out
+        flat_targets = np.ascontiguousarray(flat_targets)
+        offsets = np.ascontiguousarray(offsets)
         rc = lib.glove_many_vs_some(
-            p_data, p_data.shape[1], p_lengths, p_counts, p_data.shape[0],
-            data, data.shape[1], lengths, counts,
-            np.ascontiguousarray(flat_targets), np.ascontiguousarray(offsets),
-            w_sigma, w_tau, phi_sigma, phi_tau, out,
+            addr(p_data, F64), p_data.shape[1],
+            addr(p_lengths, I64), addr(p_counts, I64), p_data.shape[0],
+            addr(data, F64), data.shape[1], addr(lengths, I64), addr(counts, I64),
+            addr(flat_targets, I64), addr(offsets, I64),
+            w_sigma, w_tau, phi_sigma, phi_tau, out.ctypes.data,
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
         return out
 
-    def _occ_u8(bucket_occ):
-        # The C entries take the occupancy mask as uint8; a bool array
-        # is one byte per element, so this is a free reinterpret.
-        return np.ascontiguousarray(bucket_occ).view(np.uint8)
-
     def bounded_many_vs_all_cc(
         probe_slots, data, lengths, counts,
         hull, bucket_hull, bucket_occ,
         targets, thresholds,
-        w_sigma, w_tau, phi_sigma, phi_tau,
+        w_sigma, w_tau, phi_sigma, phi_tau, *, owned=None,
     ):
+        addr = _ckernel.address
         P = probe_slots.shape[0]
         best = np.empty(P, dtype=np.float64)
         best_idx = np.empty(P, dtype=np.int64)
         pruned = np.zeros(P, dtype=np.int64)
         if P == 0:
             return best, best_idx, pruned
+        if owned is None:
+            owned = (
+                addr(data, F64), addr(lengths, I64), addr(counts, I64),
+                addr(hull, F64), addr(bucket_hull, F64), addr(bucket_occ, BOOL),
+            )
+        data_a, lengths_a, counts_a, hull_a, bhull_a, bocc_a = owned
+        probe_slots = np.ascontiguousarray(probe_slots)
+        targets = np.ascontiguousarray(targets)
+        thresholds = np.ascontiguousarray(thresholds)
         rc = lib.glove_bounded_many_vs_all(
-            np.ascontiguousarray(probe_slots), P,
-            data, data.shape[1], lengths, counts,
-            np.ascontiguousarray(hull), hull.shape[1],
-            np.ascontiguousarray(bucket_hull), _occ_u8(bucket_occ),
-            bucket_occ.shape[1],
-            np.ascontiguousarray(targets), targets.shape[0],
-            np.ascontiguousarray(thresholds),
+            addr(probe_slots, I64), P,
+            data_a, data.shape[1], lengths_a, counts_a,
+            hull_a, hull.shape[1], bhull_a, bocc_a, bucket_occ.shape[1],
+            addr(targets, I64), targets.shape[0], addr(thresholds, F64),
             w_sigma, w_tau, phi_sigma, phi_tau,
-            best, best_idx, pruned,
+            best.ctypes.data, best_idx.ctypes.data, pruned.ctypes.data,
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
@@ -967,24 +1002,34 @@ def _bind_cc():
         probe_slots, data, lengths, counts,
         hull, bucket_hull, bucket_occ,
         flat_targets, offsets, thresholds, reverse, best_vals,
-        w_sigma, w_tau, phi_sigma, phi_tau,
+        w_sigma, w_tau, phi_sigma, phi_tau, *, owned=None,
     ):
+        addr = _ckernel.address
         P = probe_slots.shape[0]
         out = np.empty(flat_targets.shape[0], dtype=np.float64)
         pruned = np.zeros(P, dtype=np.int64)
         if P == 0 or out.size == 0:
             return out, pruned
+        if owned is None:
+            owned = (
+                addr(data, F64), addr(lengths, I64), addr(counts, I64),
+                addr(hull, F64), addr(bucket_hull, F64), addr(bucket_occ, BOOL),
+            )
+        data_a, lengths_a, counts_a, hull_a, bhull_a, bocc_a = owned
+        probe_slots = np.ascontiguousarray(probe_slots)
+        flat_targets = np.ascontiguousarray(flat_targets)
+        offsets = np.ascontiguousarray(offsets)
+        thresholds = np.ascontiguousarray(thresholds)
+        reverse = np.ascontiguousarray(reverse)
+        best_vals = np.ascontiguousarray(best_vals)
         rc = lib.glove_bounded_many_vs_some(
-            np.ascontiguousarray(probe_slots), P,
-            data, data.shape[1], lengths, counts,
-            np.ascontiguousarray(hull), hull.shape[1],
-            np.ascontiguousarray(bucket_hull), _occ_u8(bucket_occ),
-            bucket_occ.shape[1],
-            np.ascontiguousarray(flat_targets), np.ascontiguousarray(offsets),
-            np.ascontiguousarray(thresholds), _occ_u8(reverse),
-            np.ascontiguousarray(best_vals),
+            addr(probe_slots, I64), P,
+            data_a, data.shape[1], lengths_a, counts_a,
+            hull_a, hull.shape[1], bhull_a, bocc_a, bucket_occ.shape[1],
+            addr(flat_targets, I64), addr(offsets, I64),
+            addr(thresholds, F64), addr(reverse, BOOL), addr(best_vals, F64),
             w_sigma, w_tau, phi_sigma, phi_tau,
-            out, pruned,
+            out.ctypes.data, pruned.ctypes.data,
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
@@ -994,31 +1039,40 @@ def _bind_cc():
         long, short, n_long, n_short,
         w_sigma, w_tau, phi_sigma, phi_tau, reshape, atol,
     ):
+        addr = _ckernel.address
+        long = np.ascontiguousarray(long)
+        short = np.ascontiguousarray(short)
         # The merge never yields more rows than the shorter side has.
         out = np.empty((short.shape[0], 6), dtype=np.float64)
-        n_out = np.zeros(1, dtype=np.int64)
-        rc = lib.glove_merge_samples(
-            np.ascontiguousarray(long), long.shape[0],
-            np.ascontiguousarray(short), short.shape[0],
+        n_out = lib.glove_merge_samples(
+            addr(long, F64), long.shape[0], addr(short, F64), short.shape[0],
             float(n_long), float(n_short),
             w_sigma, w_tau, phi_sigma, phi_tau,
-            int(bool(reshape)), float(atol), out, n_out,
+            int(bool(reshape)), float(atol), out.ctypes.data,
         )
-        if rc != 0:
+        if n_out < 0:
             raise MemoryError("merge kernel scratch allocation failed")
-        return out[: n_out[0]]
+        return out[:n_out]
 
     def summarize_slots_cc(
-        data, lengths, slots, edges, hull, bucket_hull, bucket_occ,
+        data, lengths, slots, edges, hull, bucket_hull, bucket_occ, *, owned=None,
     ):
         # Writes in place, so the summary arrays must already be the
-        # engine's own contiguous buffers (the ndpointer checks refuse
-        # anything else rather than fill a copy).
+        # engine's own contiguous buffers: address() refuses anything
+        # else rather than let the kernel fill a copy.
+        addr = _ckernel.address
+        if owned is None:
+            owned = (
+                addr(data, F64), addr(lengths, I64), addr(edges, F64),
+                addr(hull, F64), addr(bucket_hull, F64), addr(bucket_occ, BOOL),
+            )
+        data_a, lengths_a, edges_a, hull_a, bhull_a, bocc_a = owned
+        slots = np.ascontiguousarray(slots)
         lib.glove_summarize_slots(
-            data, data.shape[1], lengths,
-            np.ascontiguousarray(slots), slots.shape[0],
-            np.ascontiguousarray(edges), edges.shape[0] - 1,
-            hull, hull.shape[1], bucket_hull, bucket_occ.view(np.uint8),
+            data_a, data.shape[1], lengths_a,
+            addr(slots, I64), slots.shape[0],
+            edges_a, edges.shape[0] - 1,
+            hull_a, hull.shape[1], bhull_a, bocc_a,
         )
 
     return (

@@ -161,7 +161,10 @@ def test_mismatching_entry_falls_back(monkeypatch):
 
         def skewed(*args):
             rc = entry(*args)
-            out = args[-2]
+            # The entry takes raw addresses: args[1] is the probe count,
+            # args[12] the CSR offsets and args[-2] the output row.
+            n_out = ctypes.c_int64.from_address(args[12] + 8 * args[1]).value
+            out = np.ctypeslib.as_array((ctypes.c_double * n_out).from_address(args[-2]))
             out[np.isfinite(out)] += 1e-12
             return rc
 
