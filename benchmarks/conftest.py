@@ -408,8 +408,9 @@ def _run_kernel_bench() -> dict:
             store = engine.store
             probe_slots = np.arange(8, dtype=np.int64)
             bd_targets = np.arange(8, store.size, dtype=np.int64)
-            t_lists = [bd_targets] * probe_slots.size
-            rev = [np.zeros(bd_targets.size, dtype=bool)] * probe_slots.size
+            flat_targets = np.tile(bd_targets, probe_slots.size)
+            bd_offsets = np.arange(probe_slots.size + 1, dtype=np.int64) * bd_targets.size
+            rev = np.zeros(flat_targets.size, dtype=bool)
             best_vals = np.full(store.capacity, np.inf)
             ref_rows = engine.rows(probe_slots, bd_targets)
 
@@ -438,10 +439,12 @@ def _run_kernel_bench() -> dict:
             }
             bounded = {}
             for key, (bounds, thresholds) in settings.items():
-                rows, pruned = compiled.bounded_many_vs_some(
-                    probe_slots, store, bounds, t_lists, thresholds, rev, best_vals
+                flat_rows, pruned = compiled.bounded_many_vs_some(
+                    probe_slots, store, bounds, flat_targets, bd_offsets,
+                    thresholds, rev, best_vals,
                 )
                 total = bd_targets.size * probe_slots.size
+                rows = flat_rows.reshape(probe_slots.size, bd_targets.size)
                 parity = all(
                     bool(np.array_equal(row[row < np.inf], ref_rows[p][row < np.inf]))
                     for p, row in enumerate(rows)
@@ -450,7 +453,8 @@ def _run_kernel_bench() -> dict:
                 t0 = time.perf_counter()
                 for _ in range(calls):
                     compiled.bounded_many_vs_some(
-                        probe_slots, store, bounds, t_lists, thresholds, rev, best_vals
+                        probe_slots, store, bounds, flat_targets, bd_offsets,
+                        thresholds, rev, best_vals,
                     )
                 elapsed = time.perf_counter() - t0
                 bounded[key] = {

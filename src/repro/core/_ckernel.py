@@ -663,14 +663,34 @@ static int64_t cell_argmin(
     return best_j;
 }
 
+/* The merge output check: every value finite, every extent >= 0 and
+ * the starts non-decreasing -- exactly what the Fingerprint
+ * constructor would verify (validate_sample_array, then its stable
+ * sort by start as an identity), so a merge product skips both. */
+static int merge_rows_ok(const double *out, int64_t n)
+{
+    for (int64_t r = 0; r < n; r++) {
+        const double *row = out + r * NCOLS;
+        for (int c = 0; c < NCOLS; c++)
+            if (!isfinite(row[c]))
+                return 0;
+        if (!(row[DXCOL] >= 0.0 && row[DYCOL] >= 0.0 && row[DTCOL] >= 0.0))
+            return 0;
+        if (r > 0 && !(row[TCOL] >= row[TCOL - NCOLS]))
+            return 0;
+    }
+    return 1;
+}
+
 /* Two-stage merge (plus the reshape sweep when asked), bit for bit the
  * NumPy merge_sample_arrays / reshape_sample_array.  Stage 1's grouped
  * generalization only takes exact minima and maxima, so its order is
  * free; stage 2 prices every leftover against the stage-1 rows, then
  * folds them one at a time, each fold recomputing the upper edge as
  * low + extent of the previous one (lo + (hi - lo) need not be hi).
- * out needs ms rows; returns the row count, or -1 when the scratch
- * allocation fails. */
+ * out needs ms rows; returns the row count, -1 when the scratch
+ * allocation fails, or -2 when the rows fail merge_rows_ok (an extent
+ * overflowed to inf, say). */
 int64_t glove_merge_samples(
     const double *lng, int64_t ml, const double *sht, int64_t ms,
     double n_long, double n_short,
@@ -765,7 +785,7 @@ int64_t glove_merge_samples(
     if (!reshape || n < 2) {
         free(acc);
         free(target);
-        return n;
+        return merge_rows_ok(out, n) ? n : -2;
     }
     /* Reshape: every run of temporally overlapping rows becomes its
      * generalization; runs are contiguous and emitted in order, so
@@ -806,7 +826,7 @@ int64_t glove_merge_samples(
     }
     free(acc);
     free(target);
-    return g;
+    return merge_rows_ok(out, g) ? g : -2;
 }
 
 /* StretchEngine._summarize for every slot in slots: the (6, hull_cap)

@@ -477,6 +477,7 @@ class SQLiteArtifactBackend(ArtifactBackend):
         self.busy_timeout_s = float(busy_timeout_s)
         self._runtime = runtime_tag()
         self.root.mkdir(parents=True, exist_ok=True)
+        self._set_wal()
         with self._tx() as conn:
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS artifacts ("
@@ -491,13 +492,36 @@ class SQLiteArtifactBackend(ArtifactBackend):
                 " PRIMARY KEY (runtime, stage, key))"
             )
 
+    def _set_wal(self) -> None:
+        """Put the file in WAL mode, once per store (the mode persists).
+
+        Switching the journal mode takes a lock that SQLite's busy
+        timeout does not wait for, so several stores opening one fresh
+        file at once can see ``database is locked`` here; a busy switch
+        is retried until ``busy_timeout_s`` runs out.
+        """
+        import sqlite3
+
+        deadline = time.monotonic() + self.busy_timeout_s
+        while True:
+            conn = sqlite3.connect(self.db_path, timeout=self.busy_timeout_s)
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                busy = "locked" in str(exc) or "busy" in str(exc)
+                if not busy or time.monotonic() >= deadline:
+                    raise
+            finally:
+                conn.close()
+            time.sleep(_POLL_S)
+
     @contextmanager
     def _tx(self):
         import sqlite3
 
         conn = sqlite3.connect(self.db_path, timeout=self.busy_timeout_s)
         try:
-            conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             with conn:  # one transaction, committed on success
                 yield conn

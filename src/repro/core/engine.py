@@ -159,11 +159,16 @@ class SlotStore:
         self.lengths = np.zeros(capacity, dtype=np.int64)
         self.counts = np.zeros(capacity, dtype=np.int64)
         self.alive = np.zeros(capacity, dtype=bool)
-        self.fps: List[Optional[Fingerprint]] = [None] * capacity
-        self.size = 0
+        self.fps: List[Optional[Fingerprint]] = fps + [None] * (capacity - n)
+        # The initial population in whole-array writes: bitwise the
+        # buffers n append() calls would fill.
+        self.lengths[:n] = [fp.m for fp in fps]
+        self.counts[:n] = [fp.count for fp in fps]
+        self.mask[:n] = np.arange(m_max) < self.lengths[:n, None]
+        self.data[:n][self.mask[:n]] = np.concatenate([fp.data for fp in fps])
+        self.alive[:n] = True
+        self.size = n
         self._resolve()
-        for fp in fps:
-            self.append(fp)
 
     @property
     def capacity(self) -> int:
@@ -757,34 +762,31 @@ class CompiledBackend(StretchBackend):
         return best, best_idx, pruned
 
     def bounded_many_vs_some(
-        self, probe_slots, store, bounds, targets_list, thresholds,
-        reverse_list, best_vals, owned=None,
+        self, probe_slots, store, bounds, targets, offsets, thresholds,
+        reverse, best_vals, owned=None,
     ):
         """Fused bound-and-prune row sweep with reverse-aware skipping.
 
-        Returns per-probe rows with ``+inf`` sentinels at pruned
-        positions plus per-probe pruned counts.  ``reverse`` pairs are
-        only skipped when the bound also clears the target's cached
-        best (``best_vals``), keeping reverse propagation
-        value-transparent (DESIGN.md D13).  ``owned`` is as in
-        :meth:`bounded_many_vs_all`.
+        ``targets`` and ``reverse`` are flat CSR: probe ``p`` sweeps
+        ``targets[offsets[p]:offsets[p + 1]]`` (``offsets[0] == 0``).
+        Returns the flat rows, in the same layout, with ``+inf``
+        sentinels at pruned positions plus per-probe pruned counts.
+        ``reverse`` pairs are only skipped when the bound also clears
+        the target's cached best (``best_vals``), keeping reverse
+        propagation value-transparent (DESIGN.md D13).  ``owned`` is as
+        in :meth:`bounded_many_vs_all`.
         """
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         P = probe_slots.shape[0]
         pruned = np.zeros(P, dtype=np.int64)
         if P == 0:
-            return [], pruned
-        t_arrays = [np.asarray(t, dtype=np.int64) for t in targets_list]
-        offsets = np.zeros(P + 1, dtype=np.int64)
-        np.cumsum([t.size for t in t_arrays], out=offsets[1:])
-        total = int(offsets[-1])
-        flat_out = np.empty(total, dtype=np.float64)
-        if total:
+            return np.empty(0, dtype=np.float64), pruned
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        flat_out = np.empty(targets.shape[0], dtype=np.float64)
+        if targets.shape[0]:
             hull, bucket_hull, bucket_occ = bounds
-            flat_targets = np.concatenate(t_arrays)
-            flat_reverse = np.concatenate(
-                [np.asarray(r, dtype=bool) for r in reverse_list]
-            )
+            reverse = np.ascontiguousarray(reverse, dtype=bool)
             thresholds = np.ascontiguousarray(thresholds, dtype=np.float64)
             best_vals = np.ascontiguousarray(best_vals, dtype=np.float64)
             slices = [
@@ -795,13 +797,15 @@ class CompiledBackend(StretchBackend):
             kw = {} if owned is None else {"owned": owned}
 
             def run(s: int, e: int):
+                # Rebase the CSR offsets so each sub-batch addresses its
+                # own flat slice starting at zero.
                 return kernels.bounded_many_vs_some_arrays(
                     probe_slots[s:e], store.data, store.lengths, store.counts,
                     hull, bucket_hull, bucket_occ,
-                    flat_targets[offsets[s] : offsets[e]],
-                    np.ascontiguousarray(offsets[s : e + 1] - offsets[s]),
+                    targets[offsets[s] : offsets[e]],
+                    offsets[s : e + 1] - offsets[s],
                     thresholds[s:e],
-                    flat_reverse[offsets[s] : offsets[e]],
+                    reverse[offsets[s] : offsets[e]],
                     best_vals, *args, **kw,
                 )
 
@@ -817,7 +821,7 @@ class CompiledBackend(StretchBackend):
         self.n_probe_dispatches += P
         self.n_batched_probes += P
         self.n_bound_pruned += int(pruned.sum())
-        return [flat_out[offsets[p] : offsets[p + 1]] for p in range(P)], pruned
+        return flat_out, pruned
 
     def close(self) -> None:
         if self._threads is not None:
@@ -895,12 +899,12 @@ class AutoBackend(StretchBackend):
         )
 
     def bounded_many_vs_some(
-        self, probe_slots, store, bounds, targets_list, thresholds,
-        reverse_list, best_vals, owned=None,
+        self, probe_slots, store, bounds, targets, offsets, thresholds,
+        reverse, best_vals, owned=None,
     ):
         return self._inline.bounded_many_vs_some(
-            probe_slots, store, bounds, targets_list, thresholds,
-            reverse_list, best_vals, owned,
+            probe_slots, store, bounds, targets, offsets, thresholds,
+            reverse, best_vals, owned,
         )
 
     def pairwise_matrix(self, packed):
@@ -1174,24 +1178,29 @@ class StretchEngine:
     def bounded_rows_some(
         self,
         slots: Sequence[int],
-        targets_list: Sequence[np.ndarray],
-        reverse_list: Sequence[np.ndarray],
+        targets: np.ndarray,
+        offsets: np.ndarray,
+        reverse: np.ndarray,
         best_vals: np.ndarray,
         thresholds=None,
-    ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Fused ragged rows with ``+inf`` sentinels at pruned positions.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fused flat rows with ``+inf`` sentinels at pruned positions.
 
-        Requires :attr:`fused_pruning`.  Entry ``p`` equals :meth:`row`
-        of ``slots[p]`` at every evaluated position; a pair is pruned
-        only when its bound exceeds the probe's running best *and* —
-        for ``reverse``-flagged targets — is at least the target's
-        cached best in ``best_vals``, so reverse propagation sees every
-        pair that could update it.
+        Requires :attr:`fused_pruning`.  ``targets`` and ``reverse``
+        are flat CSR: probe ``slots[p]`` sweeps
+        ``targets[offsets[p]:offsets[p + 1]]`` (``offsets[0] == 0``),
+        and its row comes back at the same positions of the returned
+        flat array, together with per-probe pruned counts.  Each row
+        equals :meth:`row` of ``slots[p]`` at every evaluated position;
+        a pair is pruned only when its bound exceeds the probe's running
+        best *and* — for ``reverse``-flagged targets — is at least the
+        target's cached best in ``best_vals``, so reverse propagation
+        sees every pair that could update it.
         """
         slots_arr = np.ascontiguousarray(slots, dtype=np.int64)
         return self.backend.bounded_many_vs_some(
-            slots_arr, self.store, self._bounds_pack(), targets_list,
-            self._thresholds(slots_arr.size, thresholds), reverse_list, best_vals,
+            slots_arr, self.store, self._bounds_pack(), targets, offsets,
+            self._thresholds(slots_arr.size, thresholds), reverse, best_vals,
             self._owned(),
         )
 

@@ -62,6 +62,33 @@ class Fingerprint:
                 f"fingerprint {uid!r}: count={count} but {len(self.members)} members listed"
             )
 
+    @classmethod
+    def _from_sorted(
+        cls,
+        uid: str,
+        data: np.ndarray,
+        count: int = 1,
+        members: Sequence[str] = None,
+    ) -> "Fingerprint":
+        """Wrap rows that are already validated and sorted, unchecked.
+
+        Precondition: ``data`` is a C-contiguous float64 ``(m, 6)``
+        array that :func:`~repro.core.sample.validate_sample_array` (or
+        the merge kernel's equivalent output check) has accepted, sorted
+        stably by interval start, and ``members`` (default ``(uid,)``)
+        lists exactly ``count`` subscribers.  The result is then bitwise
+        what the public constructor builds from the same arguments,
+        without re-checking or re-sorting; ``data`` is stored as given,
+        not copied.  Only window assembly and merge products may call
+        this (DESIGN.md D7, "Window assembly cost").
+        """
+        fp = cls.__new__(cls)
+        fp.uid = str(uid)
+        fp.data = data
+        fp.count = int(count)
+        fp.members = tuple(members) if members is not None else (str(uid),)
+        return fp
+
     # ------------------------------------------------------------------
     # Container protocol
     # ------------------------------------------------------------------

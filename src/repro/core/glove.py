@@ -272,48 +272,69 @@ class _NearestNeighbours:
         """Triangular build through the fused bounded row kernel.
 
         Same block structure and proposal resolution as :meth:`build`,
-        but each probe's prefix row comes back from one bounded kernel
+        but each block's prefix rows come back from one bounded kernel
         call with ``+inf`` sentinels at pruned positions.  Pruned pairs
         have bound > the probe's running best (can't change its argmin)
         and bound >= the target's cached best snapshot (can't win a
         resolved proposal: the sequential path applies a proposal only
         on strict improvement), so results stay bitwise identical.
+
+        The block is handled as whole arrays: its prefixes form one
+        flat CSR target block, per-probe minima come from one
+        ``reduceat`` (prefixes ascend, so the first hit of a minimum is
+        its lowest id), and the proposals are resolved by one
+        ``lexsort`` on (target, value, probe slot) that keeps each
+        target's first entry — the minimum value, ties to the lowest
+        probe slot, exactly the per-probe resolution of
+        :meth:`_walk_many`.
         """
         engine = self.engine
         for s in range(0, initial.size, _BUILD_BLOCK):
             block = initial[s : s + _BUILD_BLOCK]
             # Probe q (global position s+q) sees exactly its prefix.
-            t_lists = [initial[: s + q] for q in range(block.size)]
-            rev_lists = [np.ones(t.size, dtype=bool) for t in t_lists]
-            rows, pruned = engine.bounded_rows_some(
-                block, t_lists, rev_lists, self.best_val
+            lengths = np.arange(s, s + block.size, dtype=np.int64)
+            offsets = np.zeros(block.size + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
+            total = int(offsets[-1])
+            targets = initial[np.arange(total) - np.repeat(offsets[:-1], lengths)]
+            vals, pruned = engine.bounded_rows_some(
+                block, targets, offsets, np.ones(total, dtype=bool), self.best_val
             )
-            n_valid = sum(t.size for t in t_lists)
             n_pruned = int(pruned.sum())
-            self.stats.n_exact_evaluations += n_valid - n_pruned
+            self.stats.n_exact_evaluations += total - n_pruned
             self.stats.n_pruned_evaluations += n_pruned
-            proposals: dict = {}
+
+            # Per-probe (min, lowest-id argmin); only the very first
+            # probe of a build has an empty prefix, and stays (inf, -1)
+            # like a probe whose whole prefix was pruned.
             best = np.full(block.size, np.inf)
             best_idx = np.full(block.size, -1, dtype=np.int64)
-            for q in range(block.size):
-                vals, tgts = rows[q], t_lists[q]
-                ev = vals < np.inf
-                if not ev.any():
-                    continue
-                vmin = float(vals.min())
-                best[q] = vmin
-                best_idx[q] = int(tgts[vals == vmin].min())
-                p_slot = int(block[q])
-                for t, v in zip(tgts[ev].tolist(), vals[ev].tolist()):
-                    cur = proposals.get(t)
-                    if cur is None or v < cur[0] or (v == cur[0] and p_slot < cur[1]):
-                        proposals[t] = (v, p_slot)
+            if total:
+                full = lengths > 0
+                starts = offsets[:-1][full]
+                mins = np.minimum.reduceat(vals, starts)
+                hits = np.flatnonzero(vals == np.repeat(mins, lengths[full]))
+                first = targets[hits[np.searchsorted(hits, starts)]]
+                best[full] = mins
+                best_idx[full] = np.where(mins < np.inf, first, -1)
+
+            # Reverse proposals of the evaluated pairs, first entry per
+            # target after sorting by (target, value, probe slot).
+            ev = vals < np.inf
+            p_tgt = targets[ev]
+            p_val = vals[ev]
+            p_slot = np.repeat(block, lengths)[ev]
+            order = np.lexsort((p_slot, p_val, p_tgt))
+            p_tgt, p_val, p_slot = p_tgt[order], p_val[order], p_slot[order]
+            keep = np.ones(p_tgt.size, dtype=bool)
+            keep[1:] = p_tgt[1:] != p_tgt[:-1]
+            p_tgt, p_val, p_slot = p_tgt[keep], p_val[keep], p_slot[keep]
+
             self.best_val[block] = best
             self.best_idx[block] = best_idx
-            for tgt, (val, probe) in proposals.items():
-                if val < self.best_val[tgt]:
-                    self.best_val[tgt] = val
-                    self.best_idx[tgt] = probe
+            upd = p_val < self.best_val[p_tgt]
+            self.best_val[p_tgt[upd]] = p_val[upd]
+            self.best_idx[p_tgt[upd]] = p_slot[upd]
 
     def insert(self, slot: int, candidates: np.ndarray, reverse: np.ndarray) -> None:
         """Find a fresh slot's neighbour and propagate it into others.
@@ -344,10 +365,9 @@ class _NearestNeighbours:
         engine = self.engine
 
         if engine.fused_pruning:
-            rows, pruned = engine.bounded_rows_some(
-                [slot], [cands], [reverse], self.best_val
+            vals, pruned = engine.bounded_rows_some(
+                [slot], cands, np.array([0, cands.size]), reverse, self.best_val
             )
-            vals = rows[0]
             self.stats.n_exact_evaluations += int(cands.size - pruned[0])
             self.stats.n_pruned_evaluations += int(pruned[0])
             # +inf sentinels at pruned positions lose both comparisons

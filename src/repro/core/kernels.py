@@ -44,6 +44,8 @@ that is what :class:`repro.core.engine.CompiledBackend` keys on.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.sample import DT, DX, DY, T, X, Y
@@ -669,14 +671,33 @@ def _build_kernels(decorate):
         return best_j
 
     @decorate
-    def merge_samples_arrays(
+    def merge_rows_ok(out, n):
+        # The merge output check: every value finite, every extent
+        # >= 0 and the starts non-decreasing -- what the Fingerprint
+        # constructor would verify (validate_sample_array, then its
+        # stable sort by start as an identity).
+        for r in range(n):
+            for c in range(6):
+                if not math.isfinite(out[r, c]):
+                    return False
+            if not (out[r, DX] >= 0.0 and out[r, DY] >= 0.0 and out[r, DT] >= 0.0):
+                return False
+            if r > 0 and not out[r, T] >= out[r - 1, T]:
+                return False
+        return True
+
+    @decorate
+    def merge_samples_rows(
         long, short, n_long, n_short,
-        w_sigma, w_tau, phi_sigma, phi_tau, reshape, atol,
+        w_sigma, w_tau, phi_sigma, phi_tau, reshape, atol, out,
     ):
         # Two-stage merge of repro.core.merge.merge_sample_arrays (and,
         # with reshape, reshape_sample_array of its result), bit for
-        # bit.  Stage 1's grouped generalization only takes minima and
-        # maxima of edges, which are exact, so its order is free.
+        # bit, into the first rows of `out` (ms rows); returns the row
+        # count, or -2 when the rows fail merge_rows_ok (an extent
+        # overflowed to inf, say).  Stage 1's grouped generalization
+        # only takes minima and maxima of edges, which are exact, so
+        # its order is free.
         # Stage 2's is not: every leftover is priced against the
         # stage-1 rows, then the leftovers fold in one at a time, each
         # fold recomputing the upper edge as low + extent of the
@@ -746,12 +767,11 @@ def _build_kernels(decorate):
         order = np.empty(n, dtype=np.int64)
         tmp = np.empty(n, dtype=np.int64)
         stable_argsort(keys, order, tmp)
-        out = np.empty((n, 6))
         for r in range(n):
             for c in range(6):
                 out[r, c] = merged[order[r], c]
         if not reshape or n < 2:
-            return out
+            return n if merge_rows_ok(out, n) else -2
         # Reshape: every run of temporally overlapping rows becomes its
         # generalization; runs are contiguous and emitted in order, so
         # row g overwrites only rows the sweep has passed.
@@ -784,7 +804,7 @@ def _build_kernels(decorate):
             if r < n:
                 start = r
                 end = out[r, T] + out[r, DT]
-        return out[:g].copy()
+        return g if merge_rows_ok(out, g) else -2
 
     @decorate
     def summarize_slots_arrays(
@@ -839,9 +859,38 @@ def _build_kernels(decorate):
         many_vs_some_arrays,
         bounded_many_vs_all_arrays,
         bounded_many_vs_some_arrays,
-        merge_samples_arrays,
+        merge_samples_rows,
         summarize_slots_arrays,
     )
+
+
+#: The ValueError message of a merge whose output fails the kernel's
+#: check (non-finite value, negative extent or unordered starts).
+MERGE_CHECK_FAILED = "merged sample array is not finite, non-negative and time-ordered"
+
+
+def _merge_entry(merge_rows):
+    """The array entry of a ``merge_samples_rows`` kernel.
+
+    Allocates the output (the merge never yields more rows than the
+    shorter side has), raises ``ValueError`` where the kernel's output
+    check failed, and returns the merged rows.
+    """
+
+    def merge_samples(
+        long, short, n_long, n_short,
+        w_sigma, w_tau, phi_sigma, phi_tau, reshape, atol,
+    ):
+        out = np.empty((short.shape[0], 6))
+        n_out = merge_rows(
+            long, short, float(n_long), float(n_short),
+            w_sigma, w_tau, phi_sigma, phi_tau, reshape, atol, out,
+        )
+        if n_out < 0:
+            raise ValueError(MERGE_CHECK_FAILED)
+        return out[:n_out]
+
+    return merge_samples
 
 
 # Pure-Python twins: always importable, used by the parity property
@@ -855,9 +904,10 @@ def _build_kernels(decorate):
     many_vs_some_pure,
     bounded_many_vs_all_pure,
     bounded_many_vs_some_pure,
-    merge_samples_pure,
+    merge_samples_rows_pure,
     summarize_slots_pure,
 ) = _build_kernels(lambda f: f)
+merge_samples_pure = _merge_entry(merge_samples_rows_pure)
 
 
 def _bind_cc():
@@ -1050,8 +1100,10 @@ def _bind_cc():
             w_sigma, w_tau, phi_sigma, phi_tau,
             int(bool(reshape)), float(atol), out.ctypes.data,
         )
-        if n_out < 0:
+        if n_out == -1:
             raise MemoryError("merge kernel scratch allocation failed")
+        if n_out < 0:
+            raise ValueError(MERGE_CHECK_FAILED)
         return out[:n_out]
 
     def summarize_slots_cc(
@@ -1100,9 +1152,10 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised via compiled-parity CI
         many_vs_some_arrays,
         bounded_many_vs_all_arrays,
         bounded_many_vs_some_arrays,
-        merge_samples_arrays,
+        _merge_rows_numba,
         summarize_slots_arrays,
     ) = _build_kernels(njit(cache=True, nogil=True))
+    merge_samples_arrays = _merge_entry(_merge_rows_numba)
 else:
     _cc = _bind_cc()
     if _cc is not None:

@@ -31,7 +31,7 @@ import numpy as np
 from repro.core import kernels
 from repro.core.config import StretchConfig
 from repro.core.fingerprint import Fingerprint
-from repro.core.sample import DT, DX, DY, NCOLS, OVERLAP_ATOL, T, X, Y
+from repro.core.sample import DT, DX, DY, NCOLS, OVERLAP_ATOL, T, X, Y, validate_sample_array
 from repro.core.stretch import stretch_matrix
 
 #: (low, extent) column index pairs for the three generalized axes.
@@ -69,6 +69,12 @@ def merge_sample_arrays(
     distinct ``short`` samples matched in stage one (``m' <= m_short``).
     With ``reshape``, the result is also passed through
     :func:`repro.core.reshape.reshape_sample_array`.
+
+    The result is sorted stably by interval start and checked as the
+    :class:`Fingerprint` constructor would check it — by the native
+    kernel's output check, or by :func:`validate_sample_array` on the
+    NumPy path — so a non-finite value or a negative extent (an
+    overflowing extent, say) raises ``ValueError`` here.
     """
     if long.shape[0] < short.shape[0]:
         raise ValueError("first argument must be the longer fingerprint")
@@ -84,7 +90,7 @@ def merge_sample_arrays(
         from repro.core.reshape import reshape_sample_array
 
         merged = reshape_sample_array(merged)
-    return merged
+    return validate_sample_array(merged)
 
 
 def merge_sample_arrays_numpy(
@@ -132,6 +138,10 @@ def merge_fingerprints(
     coarsened ones).  With ``reshape`` the temporal-overlap resolution
     of :mod:`repro.core.reshape` runs in the same pass; the result
     equals ``reshape_fingerprint`` of the plain merge.
+
+    :func:`merge_sample_arrays` returns rows that are already checked
+    and sorted by start, so the product skips the constructor's
+    re-check and re-sort (``Fingerprint._from_sorted``).
     """
     if a.m == 0 or b.m == 0:
         raise ValueError("cannot merge empty fingerprints")
@@ -142,7 +152,7 @@ def merge_fingerprints(
     data = merge_sample_arrays(
         long_fp.data, short_fp.data, long_fp.count, short_fp.count, config, reshape
     )
-    return Fingerprint(
+    return Fingerprint._from_sorted(
         uid if uid is not None else f"{a.uid}+{b.uid}",
         data,
         count=a.count + b.count,

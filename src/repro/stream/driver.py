@@ -152,12 +152,13 @@ def _absorb(group: Fingerprint, native: Fingerprint, config: GloveConfig) -> Fin
     Uses the standard specialized-generalization merge so the group's
     published trace covers the member's new samples, then restores the
     group's identity: the member is already counted, so ``count`` and
-    ``members`` must not grow (DESIGN.md D7).
+    ``members`` must not grow (DESIGN.md D7).  The merge product's rows
+    are already checked and sorted, so they are not checked again.
     """
     merged = merge_fingerprints(
         group, native, config.stretch, uid=group.uid, reshape=config.reshape
     )
-    return Fingerprint(group.uid, merged.data, count=group.count, members=group.members)
+    return Fingerprint._from_sorted(group.uid, merged.data, group.count, group.members)
 
 
 def _assemble(

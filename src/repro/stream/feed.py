@@ -25,7 +25,6 @@ from typing import Iterator, List
 import numpy as np
 
 from repro.core.dataset import FingerprintDataset
-from repro.core.fingerprint import Fingerprint
 from repro.core.sample import NCOLS, T
 
 
@@ -130,13 +129,3 @@ def replay_dataset(
         rows[order],
         name=name or f"{dataset.name}-feed",
     )
-
-
-def feed_fingerprint(uid: str, rows: List[np.ndarray]) -> Fingerprint:
-    """Reassemble one subscriber's fingerprint from their event rows.
-
-    Rows are stacked in arrival order; the :class:`Fingerprint`
-    constructor re-sorts them stably by sample time, so a feed replayed
-    without reordering reproduces the batch fingerprint byte for byte.
-    """
-    return Fingerprint(uid, np.vstack(rows))

@@ -131,7 +131,9 @@ class TestThreadSingleFlight:
             # Each thread builds its own store over the shared root so
             # the in-process memo cannot mask the backend-level lock.
             store = ArtifactStore(root=tmp_path, backend=backend)
-            barrier.wait()
+            # A timeout (and daemon threads): a thread that dies before
+            # the barrier fails the test instead of hanging the session.
+            barrier.wait(timeout=30)
 
             def compute():
                 computes.append(i)
@@ -140,11 +142,14 @@ class TestThreadSingleFlight:
 
             results[i] = store.fetch("stage", "cold-key", compute)
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+        threads = [
+            threading.Thread(target=worker, args=(i,), daemon=True) for i in range(n)
+        ]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
         assert len(computes) == 1
         assert all(value == {"value": 42} for value, _ in results)
         origins = sorted(origin for _, origin in results)

@@ -257,11 +257,11 @@ def pure_sweeps(engine, slots, targets, t_lists, reverse, best_vals):
     argmin = kernels.bounded_many_vs_all_pure(
         slots, *arrays, targets, np.full(len(slots), np.inf), *args
     )
-    rows, pruned = kernels.bounded_many_vs_some_pure(
+    rows = kernels.bounded_many_vs_some_pure(
         slots, *arrays, np.concatenate(t_lists), offsets,
         np.full(len(slots), np.inf), np.concatenate(reverse), best_vals, *args,
     )
-    return argmin, ([rows[offsets[p] : offsets[p + 1]] for p in range(len(slots))], pruned)
+    return argmin, rows
 
 
 def assert_sweeps_match_pure(engine, rng):
@@ -271,12 +271,16 @@ def assert_sweeps_match_pure(engine, rng):
     t_lists = [targets[targets != s] for s in slots]
     reverse = [rng.random(t.size) < 0.5 for t in t_lists]
     best_vals = np.where(rng.random(engine.store.capacity) < 0.5, 0.1, np.inf)
-    want_argmin, (want_rows, want_pruned) = pure_sweeps(
+    want_argmin, want_rows = pure_sweeps(
         engine, slots, targets, t_lists, reverse, best_vals
     )
     assert_same(engine.bounded_argmin(slots, targets), want_argmin)
-    rows, pruned = engine.bounded_rows_some(slots, t_lists, reverse, best_vals)
-    assert_same(tuple(rows) + (pruned,), tuple(want_rows) + (want_pruned,))
+    offsets = np.zeros(len(slots) + 1, dtype=np.int64)
+    np.cumsum([t.size for t in t_lists], out=offsets[1:])
+    got = engine.bounded_rows_some(
+        slots, np.concatenate(t_lists), offsets, np.concatenate(reverse), best_vals
+    )
+    assert_same(got, want_rows)
 
 
 @pytest.mark.skipif(not kernels.COMPILED_AVAILABLE, reason="no accelerated tier")

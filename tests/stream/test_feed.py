@@ -6,7 +6,7 @@ import pytest
 from repro.core.dataset import FingerprintDataset
 from repro.core.fingerprint import Fingerprint
 from repro.core.sample import T
-from repro.stream.feed import ReplayFeed, feed_fingerprint, replay_dataset
+from repro.stream.feed import ReplayFeed, replay_dataset
 
 
 class TestReplayDataset:
@@ -23,7 +23,7 @@ class TestReplayDataset:
         for event in feed:
             by_uid.setdefault(event.uid, []).append(event.row)
         for fp in small_civ:
-            rebuilt = feed_fingerprint(fp.uid, by_uid[fp.uid])
+            rebuilt = Fingerprint(fp.uid, np.vstack(by_uid[fp.uid]))
             assert np.array_equal(rebuilt.data, fp.data)
 
     def test_zero_jitter_is_deterministic(self, small_civ):
