@@ -247,7 +247,7 @@ def cmd_anonymize(args) -> int:
                 f"{stats.n_boundary_crossings} kernel calls "
                 f"({per_crossing:.1f} probes/call, "
                 f"{stats.n_batched_probes} via batched entries, "
-                f"{stats.n_bound_pruned} pairs pruned in-kernel)"
+                f"{stats.n_bound_pruned} pairs pruned by the bounds)"
             )
     else:
         s = result.stats
@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--no-reshape", action="store_true")
     _add_method_arguments(a, default="glove")
     a.add_argument("-o", "--output", required=True)
-    add_compute_arguments(a, pruning=True)
+    add_compute_arguments(a)
     add_pipeline_arguments(a)
     _add_metrics_arguments(a)
     a.set_defaults(func=cmd_anonymize)
@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--no-reshape", action="store_true")
     st.add_argument("-o", "--output", required=True)
     add_stream_arguments(st)
-    add_compute_arguments(st, pruning=True)
+    add_compute_arguments(st)
     add_pipeline_arguments(st)
     _add_metrics_arguments(st)
     st.set_defaults(func=cmd_stream)

@@ -81,7 +81,7 @@ from repro.core.scenarios import (
     get_scenario,
     register_scenario,
 )
-from repro.core.shard import ShardedBackend, partition_indices, resolve_shards, sharded_glove
+from repro.core.shard import partition_indices, resolve_shards, sharded_glove
 from repro.core.stretch import fingerprint_stretch, sample_stretch, stretch_matrix
 from repro.core.suppression import SuppressionStats, suppress_dataset
 
@@ -106,7 +106,6 @@ __all__ = [
     "GloveStats",
     "glove",
     "sharded_glove",
-    "ShardedBackend",
     "partition_indices",
     "resolve_shards",
     "kgap",

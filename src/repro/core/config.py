@@ -12,6 +12,7 @@ of ~15 min.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -70,7 +71,7 @@ class ComputeConfig:
     backend that executes the bulk Eq. 10 evaluations.  Kept separate
     from :class:`GloveConfig` on purpose: the latter describes *what* to
     compute (the anonymization semantics), this class describes *how*
-    (which hardware tier, how much memory, whether to prune).  Two runs
+    (which hardware tier, how much memory, how many workers).  Two runs
     that differ only in their ``ComputeConfig`` produce byte-identical
     results.
 
@@ -80,18 +81,17 @@ class ComputeConfig:
         Name of a registered compute backend: ``"numpy"`` (single
         process, chunked broadcasting), ``"compiled"`` (JIT/C scalar
         kernels over the same padded layout; requires the ``[compiled]``
-        extra or a system C compiler), ``"process"`` (multi-core pool),
-        ``"auto"`` (pick by workload size, preferring the compiled tier
-        when available), or ``"sharded"`` (partition the population,
+        extra or a system C compiler), ``"auto"`` (the compiled tier when
+        an accelerated binding is bound, ``numpy`` otherwise), or
+        ``"sharded"`` (partition the population,
         anonymize shards concurrently, repair the boundaries).  All
         tiers are byte-identical (DESIGN.md D9).  Extensible through
         :func:`repro.core.engine.register_backend`.
     chunk:
         Fingerprints per broadcast chunk in the bulk kernels.
     workers:
-        Process-pool size for the ``process`` backend and shard-level
-        pool size for the ``sharded`` backend; ``None`` means
-        ``min(cpu_count, 8)``.
+        Shard-level process-pool size of the ``sharded`` backend;
+        ``None`` means ``min(cpu_count, 8)``.
     shards:
         Shard count of the ``sharded`` backend; ``None`` picks one from
         the population size (roughly one shard per
@@ -102,24 +102,12 @@ class ComputeConfig:
         ``"time"`` (activity-midpoint locality, the default) or
         ``"hash"`` (deterministic uid hash, the locality-free
         fallback).
-    pruning:
-        Enable the bounding-box lower-bound pruning of exact Eq. 10
-        evaluations in the GLOVE nearest-neighbour search.  Pruning is
-        exact (never changes results); disable only for debugging or
-        benchmarking the unpruned path.
     lb_bucket_minutes:
         Width of the time buckets of the level-1 lower bound (per-slot
         spatial hulls per time bucket).
     lb_max_buckets:
         Cap on the number of time buckets per slot (bucket width is
         stretched when the recording period is long).
-    parallel_matrix_threshold:
-        ``auto`` backend: minimum fingerprint count at which full
-        pairwise-matrix builds are dispatched to the process pool.
-    parallel_targets_threshold:
-        ``process``/``auto`` backends: minimum number of targets in a
-        one-vs-all call before it is sharded across the pool (below it,
-        pool overhead exceeds kernel time and the call runs inline).
     kernel_threads:
         Worker threads splitting a batched multi-probe kernel call in
         the ``compiled`` backend.  Probes are independent, so the split
@@ -140,14 +128,13 @@ class ComputeConfig:
     workers: Optional[int] = None
     shards: Optional[int] = None
     shard_strategy: str = "time"
-    pruning: bool = True
     lb_bucket_minutes: float = 360.0
     lb_max_buckets: int = 48
-    parallel_matrix_threshold: int = 192
-    parallel_targets_threshold: int = 4096
     kernel_threads: Optional[Union[int, str]] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.chunk, numbers.Integral):
+            raise ValueError(f"chunk must be an integer, got {self.chunk!r}")
         if self.chunk < 1:
             raise ValueError(f"chunk must be at least 1, got {self.chunk}")
         if self.workers is not None and self.workers < 1:
@@ -164,12 +151,13 @@ class ComputeConfig:
             raise ValueError(
                 f"shard_strategy must be 'time' or 'hash', got {self.shard_strategy!r}"
             )
-        if self.lb_bucket_minutes <= 0:
-            raise ValueError("lb_bucket_minutes must be positive")
+        # ``not > 0`` also rejects NaN; +inf is legal (a single bucket).
+        if not self.lb_bucket_minutes > 0:
+            raise ValueError(
+                f"lb_bucket_minutes must be positive, got {self.lb_bucket_minutes!r}"
+            )
         if self.lb_max_buckets < 1:
             raise ValueError("lb_max_buckets must be at least 1")
-        if self.parallel_matrix_threshold < 0 or self.parallel_targets_threshold < 0:
-            raise ValueError("parallelism thresholds must be non-negative")
 
 
 def kernel_threads_arg(value: str) -> Union[int, str]:
@@ -191,7 +179,7 @@ def kernel_threads_arg(value: str) -> Union[int, str]:
         )
 
 
-def add_compute_arguments(parser, pruning: bool = False) -> None:
+def add_compute_arguments(parser) -> None:
     """Attach the shared compute-substrate flags to an argparse parser.
 
     Used by the ``glove`` CLI and the ``glove-repro`` experiment runner
@@ -203,14 +191,14 @@ def add_compute_arguments(parser, pruning: bool = False) -> None:
         "--backend",
         choices=available_backends(),
         default="auto",
-        help="stretch-compute backend (default: auto = pick by workload size)",
+        help="stretch-compute backend (default: auto = the compiled kernels "
+        "when available, numpy otherwise)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="pool size: process backend (bulk matrix builds, large target "
-        "sets) and shard-level concurrency of the sharded backend",
+        help="shard-level process-pool size of the sharded backend",
     )
     parser.add_argument(
         "--chunk", type=int, default=None, help="fingerprints per broadcast chunk"
@@ -238,12 +226,6 @@ def add_compute_arguments(parser, pruning: bool = False) -> None:
         "REPRO_KERNEL_THREADS or 1; results are byte-identical at any "
         "thread count)",
     )
-    if pruning:
-        parser.add_argument(
-            "--no-prune",
-            action="store_true",
-            help="disable lower-bound pruning (identical results, slower)",
-        )
 
 
 def compute_config_from_args(args) -> "ComputeConfig":
@@ -265,8 +247,6 @@ def compute_config_from_args(args) -> "ComputeConfig":
         kwargs["shard_strategy"] = args.shard_strategy
     if getattr(args, "kernel_threads", None) is not None:
         kwargs["kernel_threads"] = args.kernel_threads
-    if getattr(args, "no_prune", False):
-        kwargs["pruning"] = False
     try:
         return ComputeConfig(**kwargs)
     except ValueError as exc:

@@ -8,15 +8,16 @@ algorithm:
 * :class:`SlotStore` owns the padded fingerprint tensors and the slot
   lifecycle (append/retire) shared by every backend;
 * :class:`StretchBackend` implementations execute the bulk Eq. 10
-  kernels — ``numpy`` (chunked broadcasting), ``process`` (multi-core
-  pool, absorbed from the former ``repro.core.parallel`` API),
-  ``compiled`` (numba-JIT scalar kernels, optional ``[compiled]``
-  extra) and ``auto`` (workload-size dispatch, preferring the compiled
-  tier inline when importable); new tiers (sharded, GPU) register
-  through :func:`register_backend`;
-* :class:`StretchEngine` ties a store to a backend and adds the cheap
-  bounding-box lower bounds on fingerprint stretch that let callers
-  prune exact evaluations which provably cannot beat a current best.
+  kernels — ``numpy`` (chunked broadcasting), ``compiled`` (numba-JIT
+  or system-cc scalar kernels) and ``auto`` (the compiled tier when an
+  accelerated binding is bound, the NumPy reference otherwise); new
+  tiers (sharded, GPU) register through :func:`register_backend`;
+* every backend serves the bounded nearest-neighbour sweeps the GLOVE
+  loop runs on (DESIGN.md D13): the base class walks candidates in
+  lower-bound order in batched rounds over its own exact kernel, and
+  the compiled tier fuses the same walk into one native call;
+* :class:`StretchEngine` ties a store to a backend and keeps the
+  per-slot bounding-box summaries the lower bounds read.
 
 All backends run the identical kernel per (probe, target) pair, so
 results are byte-identical regardless of backend, chunking or worker
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import abc
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,9 +71,10 @@ def set_default_compute(compute: ComputeConfig) -> ComputeConfig:
     return old
 
 
-def _effective_workers(compute: ComputeConfig) -> int:
-    if compute.workers is not None:
-        return compute.workers
+def _effective_workers(workers: Optional[int]) -> int:
+    """A process-pool size, ``min(cpu_count, 8)`` when unset."""
+    if workers is not None:
+        return workers
     return min(os.cpu_count() or 1, 8)
 
 
@@ -99,7 +101,7 @@ def _effective_kernel_threads(compute: ComputeConfig) -> int:
 def grow_array(arr: np.ndarray, capacity: int, fill=0) -> np.ndarray:
     """Return ``arr`` grown to ``capacity`` rows, new rows set to ``fill``.
 
-    Shared by the slot store, the engine's pruning summaries and the
+    Shared by the slot store, the engine's bound summaries and the
     GLOVE nearest-neighbour cache so capacity growth follows one policy.
     """
     if arr.shape[0] >= capacity:
@@ -237,8 +239,140 @@ class SlotStore:
 
 
 # ----------------------------------------------------------------------
+# Lower bounds on the fingerprint stretch effort
+# ----------------------------------------------------------------------
+def _interval_gap(a_lo, a_hi, b_lo, b_hi):
+    """Separation between intervals ``[a_lo, a_hi]`` and ``[b_lo, b_hi]``."""
+    return np.maximum(0.0, np.maximum(a_lo - b_hi, b_lo - a_hi))
+
+
+def _gap_effort(gx, gy, gt, stretch: StretchConfig):
+    """Eq. 10's clamped weighted sum applied to interval gaps."""
+    return stretch.w_sigma * np.minimum((gx + gy) / stretch.phi_max_sigma_m, 1.0) + (
+        stretch.w_tau * np.minimum(gt / stretch.phi_max_tau_min, 1.0)
+    )
+
+
+def hull_lower_bounds(hull, probes, targets, stretch: StretchConfig) -> np.ndarray:
+    """Level-0 bound: gap between global bounding boxes, O(1) per pair.
+
+    ``hull`` is the engine's ``(6, capacity)`` component-major summary.
+    ``probes`` is one slot or an array of slots aligned with
+    ``targets``; the arithmetic is elementwise, so each value is
+    bitwise independent of how the pairs are batched.
+    """
+    h = hull[:, probes]
+    H = hull[:, targets]
+    gx = _interval_gap(h[0], h[1], H[0], H[1])
+    gy = _interval_gap(h[2], h[3], H[2], H[3])
+    gt = _interval_gap(h[4], h[5], H[4], H[5])
+    return _gap_effort(gx, gy, gt, stretch)
+
+
+def bucket_lower_bounds(
+    store: "SlotStore", bounds, slot: int, targets: np.ndarray, stretch: StretchConfig
+) -> np.ndarray:
+    """Level-1 bound: samples vs per-time-bucket hulls, O(m·B) per pair.
+
+    ``bounds`` is the engine's ``(hull, bucket_hull, bucket_occ)``.
+    Follows Eq. 10's direction rule: the mean runs over the longer
+    fingerprint's samples (both directions averaged on equal lengths),
+    so each direction is bounded with the corresponding side's samples
+    against the other side's bucket hulls.
+    """
+    _, bucket_hull, bucket_occ = bounds
+    targets = np.asarray(targets, dtype=np.int64)
+    ma = int(store.lengths[slot])
+    len_t = store.lengths[targets]
+    a_side = ma >= len_t  # probe is the longer (or equal) side
+    b_side = len_t >= ma  # target is the longer (or equal) side
+    la = np.zeros(targets.size)
+    lb = np.zeros(targets.size)
+    if a_side.any():
+        la[a_side] = _lb_probe_samples(
+            store, bucket_hull, bucket_occ, slot, targets[a_side], stretch
+        )
+    if b_side.any():
+        lb[b_side] = _lb_target_samples(
+            store, bucket_hull, bucket_occ, slot, targets[b_side], stretch
+        )
+    return np.where(ma > len_t, la, np.where(len_t > ma, lb, (la + lb) / 2.0))
+
+
+def _sample_bounds(d: np.ndarray):
+    """``(lo, hi)`` x/y/t interval bounds of samples, ``(..., 3)`` each."""
+    lo = np.stack([d[..., X], d[..., Y], d[..., T]], axis=-1)
+    hi = np.stack([d[..., X] + d[..., DX], d[..., Y] + d[..., DY], d[..., T] + d[..., DT]], axis=-1)
+    return lo, hi
+
+
+def _sample_bucket_lb(s_lo, s_hi, hulls, occ, stretch: StretchConfig):
+    """Per-(sample, bucket) bound; ``inf`` on unoccupied buckets.
+
+    ``s_lo``/``s_hi`` are ``(..., 3)`` interval bounds (x, y, t) and
+    ``hulls`` is ``(..., B, 6)``; broadcasting aligns the rest.
+    """
+    gx = _interval_gap(s_lo[..., 0], s_hi[..., 0], hulls[..., 0], hulls[..., 1])
+    gy = _interval_gap(s_lo[..., 1], s_hi[..., 1], hulls[..., 2], hulls[..., 3])
+    gt = _interval_gap(s_lo[..., 2], s_hi[..., 2], hulls[..., 4], hulls[..., 5])
+    return np.where(occ, _gap_effort(gx, gy, gt, stretch), np.inf)
+
+
+def _lb_probe_samples(store, bucket_hull, bucket_occ, slot, targets, stretch):
+    """Mean over probe samples of the min bound to target buckets."""
+    s_lo, s_hi = _sample_bounds(store.probe(slot))
+    ma = s_lo.shape[0]
+    out = np.empty(targets.size)
+    block = max(1, (1 << 21) // max(ma * bucket_hull.shape[1], 1))
+    for start in range(0, targets.size, block):
+        sel = targets[start : start + block]
+        lb = _sample_bucket_lb(
+            s_lo[None, :, None, :], s_hi[None, :, None, :],
+            bucket_hull[sel][:, None, :, :], bucket_occ[sel][:, None, :], stretch,
+        )  # (C, ma, B)
+        out[start : start + sel.size] = lb.min(axis=2).mean(axis=1)
+    return out
+
+
+def _lb_target_samples(store, bucket_hull, bucket_occ, slot, targets, stretch):
+    """Masked mean over target samples of the min bound to probe buckets.
+
+    Targets are grouped by length so the broadcast work is sliced to
+    each block's own maximum sample count; the final mean still sums a
+    zero-padded width-``m_max`` array, so every bound value is bitwise
+    independent of the block composition (same argument as
+    :func:`repro.core.pairwise._chunk_efforts`).
+    """
+    hulls = bucket_hull[slot][bucket_occ[slot]]  # (Bo, 6)
+    m_max = store.m_max
+    out = np.empty(targets.size)
+    order = (
+        np.argsort(store.lengths[targets], kind="stable")
+        if targets.size > 1
+        else np.arange(targets.size)
+    )
+    block = max(1, (1 << 21) // max(m_max * hulls.shape[0], 1))
+    for start in range(0, targets.size, block):
+        pos = order[start : start + block]
+        sel = targets[pos]
+        width = int(store.lengths[sel].max())
+        s_lo, s_hi = _sample_bounds(store.data[sel, :width])  # (C, W, 3)
+        lb = _sample_bucket_lb(
+            s_lo[:, :, None, :], s_hi[:, :, None, :], hulls[None, None, :, :], True, stretch
+        )  # (C, W, Bo)
+        per_sample = np.zeros((sel.size, m_max), dtype=np.float64)
+        per_sample[:, :width] = np.where(store.mask[sel, :width], lb.min(axis=2), 0.0)
+        out[pos] = per_sample.sum(axis=1) / store.lengths[sel]
+    return out
+
+
+# ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
+#: Candidates per probe per round of the base-class bounded walk.
+_WALK_BATCH = 32
+
+
 class StretchBackend(abc.ABC):
     """Executes bulk Eq. 10 evaluations against a packed store.
 
@@ -248,19 +382,6 @@ class StretchBackend(abc.ABC):
     """
 
     name: str = "?"
-
-    #: True when the backend's exact kernel is cheap enough that the
-    #: engine's level-1 bucket bounds cost more to compute than the
-    #: exact evaluations they would prune.  Callers walking candidates
-    #: may drop that refinement level — pruning tightness never changes
-    #: outputs, only which evaluations run (DESIGN.md D7/D9).
-    fast_exact: bool = False
-
-    #: True when the backend offers the fused in-kernel bound-and-prune
-    #: entries (:meth:`bounded_many_vs_all` / :meth:`bounded_many_vs_some`,
-    #: DESIGN.md D13).  The engine's walkers switch to them when pruning
-    #: is enabled; tiers without the entries keep the Python-side walk.
-    supports_bounded: bool = False
 
     def __init__(self, compute: ComputeConfig, stretch: StretchConfig):
         self.compute = compute
@@ -274,16 +395,15 @@ class StretchBackend(abc.ABC):
         #: entry (native ``many_vs_all``/``many_vs_some``); zero on
         #: tiers that fall back to per-probe loops.
         self.n_batched_probes = 0
-        #: (probe, target) pairs whose exact evaluation the fused
-        #: bounded entries skipped in-kernel; zero on tiers without
-        #: them.
+        #: (probe, target) pairs whose exact evaluation the bounded
+        #: entries skipped.
         self.n_bound_pruned = 0
 
     def dispatch_counters(self) -> Tuple[int, int, int, int]:
         """``(crossings, probe_dispatches, batched_probes, bound_pruned)``.
 
-        Composite backends override this to aggregate their children so
-        a silent per-probe fallback is visible in run stats instead of
+        Harvested into :class:`repro.core.glove.GloveStats`, so a
+        silent per-probe fallback is visible in run stats instead of
         only in wall time.
         """
         return (
@@ -342,9 +462,8 @@ class StretchBackend(abc.ABC):
         """Ragged multi-probe dispatch: probe ``p`` vs its own subset.
 
         Entry ``p`` of the result is bitwise equal to :meth:`one_vs_all`
-        of probe ``p`` against ``targets_list[p]``.  The batched merge
-        frontier in :mod:`repro.core.glove` uses this to coalesce all
-        refresh scans of one iteration into a single dispatch.
+        of probe ``p`` against ``targets_list[p]``.  The bounded walk
+        coalesces the exact evaluations of one round into one call.
         """
         out = []
         for p, c, t in zip(probes, probe_counts, targets_list):
@@ -354,6 +473,139 @@ class StretchBackend(abc.ABC):
             else:
                 out.append(self.one_vs_all(p, int(c), packed, t))
         return out
+
+    def bounded_many_vs_all(
+        self, probe_slots, store, bounds, targets, thresholds, owned=None
+    ):
+        """Bound-and-prune argmin sweep (DESIGN.md D13).
+
+        Per probe slot, returns the running-best ``(min, argmin)`` over
+        ``targets`` — self-pairs skipped and not counted — plus the
+        count of pairs whose exact evaluation the bounds pruned.  Ties
+        go to the lowest slot id; a probe whose threshold no target
+        strictly beats reports ``(threshold, -1)``.  ``bounds`` is the
+        engine's ``(hull, bucket_hull, bucket_occ)``; ``owned`` carries
+        the cc addresses of the store and ``bounds`` buffers for the
+        native tier and is ignored here.
+        """
+        probe_slots = np.asarray(probe_slots, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        keep = targets[None, :] != probe_slots[:, None]
+        offsets = np.zeros(probe_slots.size + 1, dtype=np.int64)
+        np.cumsum(keep.sum(axis=1), out=offsets[1:])
+        flat = np.broadcast_to(targets, keep.shape)[keep]
+        _, best, best_idx, pruned = self._bounded_walk(
+            probe_slots, store, bounds, flat, offsets, thresholds, None, None
+        )
+        return best, best_idx, pruned
+
+    def bounded_many_vs_some(
+        self, probe_slots, store, bounds, targets, offsets, thresholds,
+        reverse, best_vals, owned=None,
+    ):
+        """Bound-and-prune row sweep with reverse-aware skipping.
+
+        ``targets`` and ``reverse`` are flat CSR: probe ``p`` sweeps
+        ``targets[offsets[p]:offsets[p + 1]]`` (``offsets[0] == 0``).
+        Returns the flat rows, in the same layout, with ``+inf``
+        sentinels at pruned positions plus per-probe pruned counts.
+        ``reverse`` pairs are only skipped when the bound also clears
+        the target's cached best (``best_vals``), keeping reverse
+        propagation value-transparent (DESIGN.md D13).  ``owned`` is as
+        in :meth:`bounded_many_vs_all`.
+        """
+        vals, _, _, pruned = self._bounded_walk(
+            probe_slots, store, bounds, targets, offsets, thresholds, reverse, best_vals
+        )
+        return vals, pruned
+
+    def _bounded_walk(
+        self, probe_slots, store, bounds, targets, offsets, thresholds, reverse, best_vals
+    ):
+        """The batched-round walk behind both bounded entries.
+
+        Each probe visits its CSR segment in ascending level-0 bound
+        order (stable), :data:`_WALK_BATCH` candidates per round.  A
+        candidate needs its exact value while its bound — level 0, then
+        level 1 for those still in — is at most the probe's running
+        best (``<=``: an equal value may still win the lowest-id tie),
+        or, for a ``reverse`` target, strictly below the target's
+        cached best.  A probe stops once its next level-0 bound exceeds
+        its best and no reverse target it has left could still adopt
+        it.  The exact evaluations of every probe still walking in a
+        round coalesce into one :meth:`many_vs_some` dispatch.  Without
+        ``reverse`` (``None``) no target is reverse-flagged.
+
+        Returns ``(vals, best, best_idx, pruned)``: the flat values with
+        ``+inf`` at pruned positions, the per-probe running ``(min,
+        lowest-id argmin)`` seeded from ``thresholds``, and the
+        per-probe pruned counts.
+        """
+        probe_slots = np.asarray(probe_slots, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        P = probe_slots.size
+        sizes = np.diff(offsets)
+        lb0 = hull_lower_bounds(
+            bounds[0], np.repeat(probe_slots, sizes), targets, self.stretch
+        )
+        if reverse is None:
+            reverse = np.zeros(targets.size, dtype=bool)
+            cached = np.zeros(targets.size)
+        else:
+            reverse = np.asarray(reverse, dtype=bool)
+            cached = np.asarray(best_vals)[targets]
+        rev_ok = reverse & (lb0 < cached)
+        vals = np.full(targets.size, np.inf)
+        best = np.array(thresholds, dtype=np.float64)
+        best_idx = np.full(P, -1, dtype=np.int64)
+        evaluated = np.zeros(P, dtype=np.int64)
+        orders, rev_end = [], []
+        for p in range(P):
+            order = offsets[p] + np.argsort(lb0[offsets[p] : offsets[p + 1]], kind="stable")
+            orders.append(order)
+            # One past the last position whose reverse target could
+            # still adopt the probe: the walk cannot stop before it.
+            hits = np.flatnonzero(rev_ok[order])
+            rev_end.append(int(hits[-1]) + 1 if hits.size else 0)
+        pos = [0] * P
+        walking = [p for p in range(P) if sizes[p]]
+        while walking:
+            subs = []
+            for p in walking:
+                order, k = orders[p], pos[p]
+                if k >= order.size or (lb0[order[k]] > best[p] and k >= rev_end[p]):
+                    continue
+                sel = order[k : k + _WALK_BATCH]
+                sub = sel[(lb0[sel] <= best[p]) | rev_ok[sel]]
+                if sub.size:
+                    lb1 = bucket_lower_bounds(
+                        store, bounds, int(probe_slots[p]), targets[sub], self.stretch
+                    )
+                    sub = sub[(lb1 <= best[p]) | (reverse[sub] & (lb1 < cached[sub]))]
+                pos[p] = k + _WALK_BATCH
+                subs.append((p, sub))
+            walking = [p for p, _ in subs]
+            subs = [(p, sub) for p, sub in subs if sub.size]
+            if not subs:
+                continue
+            slots = [int(probe_slots[p]) for p, _ in subs]
+            rows = self.many_vs_some(
+                [store.probe(s) for s in slots],
+                [int(store.counts[s]) for s in slots],
+                store,
+                [targets[sub] for _, sub in subs],
+            )
+            for (p, sub), row in zip(subs, rows):
+                vals[sub] = row
+                evaluated[p] += sub.size
+                vmin = row.min()
+                cmin = targets[sub][row == vmin].min()
+                if vmin < best[p] or (vmin == best[p] and cmin < best_idx[p]):
+                    best[p], best_idx[p] = vmin, cmin
+        pruned = sizes - evaluated
+        self.n_bound_pruned += int(pruned.sum())
+        return vals, best, best_idx, pruned
 
     def close(self) -> None:
         """Release pooled resources (idempotent)."""
@@ -367,7 +619,11 @@ class StretchBackend(abc.ABC):
 
 
 class NumpyBackend(StretchBackend):
-    """Single-process chunked-broadcasting backend (the default tier)."""
+    """Single-process chunked-broadcasting backend (the reference tier).
+
+    Serves the bounded sweeps through the base-class walk, whose
+    batched rounds dispatch to the chunked kernel below.
+    """
 
     name = "numpy"
 
@@ -417,156 +673,6 @@ class NumpyBackend(StretchBackend):
         return mat
 
 
-# Worker-side state for matrix builds, installed once per process by the
-# pool initializer (the packed tensors are shipped a single time).
-_WORKER_PACKED: Optional[PaddedFingerprints] = None
-_WORKER_STRETCH: Optional[StretchConfig] = None
-_WORKER_CHUNK: int = 0
-
-
-def _matrix_init(data, mask, lengths, counts, stretch, chunk) -> None:
-    global _WORKER_PACKED, _WORKER_STRETCH, _WORKER_CHUNK
-    packed = PaddedFingerprints.__new__(PaddedFingerprints)
-    packed.data = data
-    packed.mask = mask
-    packed.lengths = lengths
-    packed.counts = counts
-    packed.uids = [""] * data.shape[0]
-    _WORKER_PACKED = packed
-    _WORKER_STRETCH = stretch
-    _WORKER_CHUNK = chunk
-
-
-def _matrix_row_block(rows: np.ndarray) -> List[np.ndarray]:
-    packed = _WORKER_PACKED
-    n = len(packed)
-    out = []
-    for i in rows:
-        i = int(i)
-        targets = np.arange(i + 1, n)
-        if targets.size == 0:
-            out.append(np.empty(0))
-            continue
-        probe = packed.data[i, : packed.lengths[i]]
-        out.append(
-            one_vs_all(
-                probe,
-                int(packed.counts[i]),
-                packed,
-                _WORKER_STRETCH,
-                indices=targets,
-                chunk=_WORKER_CHUNK,
-            )
-        )
-    return out
-
-
-def _ova_shard(args) -> np.ndarray:
-    """Stateless one-vs-all shard: all tensors travel with the task."""
-    probe_data, probe_count, data, mask, lengths, counts, stretch, chunk = args
-    packed = PaddedFingerprints.__new__(PaddedFingerprints)
-    packed.data = data
-    packed.mask = mask
-    packed.lengths = lengths
-    packed.counts = counts
-    packed.uids = [""] * data.shape[0]
-    return one_vs_all(
-        probe_data, probe_count, packed, stretch,
-        indices=np.arange(data.shape[0]), chunk=chunk,
-    )
-
-
-class ProcessBackend(StretchBackend):
-    """Multi-core tier: Eq. 10 evaluations sharded over a process pool.
-
-    Full matrix builds ship the packed tensors to each worker once (pool
-    initializer) and shard probe rows in blocks; large one-vs-all calls
-    shard their target set with stateless tasks.  Small calls run inline
-    on the NumPy kernel — below
-    :attr:`~repro.core.config.ComputeConfig.parallel_targets_threshold`
-    the per-call pool overhead exceeds the kernel time.
-    """
-
-    name = "process"
-
-    #: Probe rows per matrix-build task.
-    MATRIX_BLOCK = 16
-
-    def __init__(self, compute: ComputeConfig, stretch: StretchConfig):
-        super().__init__(compute, stretch)
-        self.workers = _effective_workers(compute)
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def _shard_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def one_vs_all(self, probe_data, probe_count, packed, targets):
-        targets = np.asarray(targets, dtype=np.int64)
-        self.n_probe_dispatches += 1
-        if self.workers <= 1 or targets.size < self.compute.parallel_targets_threshold:
-            self.n_boundary_crossings += 1
-            return one_vs_all(
-                probe_data, probe_count, packed, self.stretch,
-                indices=targets, chunk=self.compute.chunk,
-            )
-        shards = np.array_split(targets, self.workers)
-        shards = [s for s in shards if s.size]
-        self.n_boundary_crossings += len(shards)
-        tasks = [
-            (
-                probe_data,
-                probe_count,
-                packed.data[s],
-                packed.mask[s],
-                packed.lengths[s],
-                packed.counts[s],
-                self.stretch,
-                self.compute.chunk,
-            )
-            for s in shards
-        ]
-        results = list(self._shard_pool().map(_ova_shard, tasks))
-        return np.concatenate(results)
-
-    def pairwise_matrix(self, packed):
-        n = len(packed)
-        if n < 4 or self.workers <= 1:
-            return NumpyBackend(self.compute, self.stretch).pairwise_matrix(packed)
-        mat = np.full((n, n), np.inf, dtype=np.float64)
-        blocks = [
-            np.arange(s, min(s + self.MATRIX_BLOCK, n - 1))
-            for s in range(0, n - 1, self.MATRIX_BLOCK)
-        ]
-        # A dedicated pool per build: the initializer broadcast ties the
-        # workers to this packed snapshot.
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_matrix_init,
-            initargs=(
-                packed.data,
-                packed.mask,
-                packed.lengths,
-                packed.counts,
-                self.stretch,
-                self.compute.chunk,
-            ),
-        ) as pool:
-            for rows, results in zip(blocks, pool.map(_matrix_row_block, blocks)):
-                for i, vals in zip(rows, results):
-                    i = int(i)
-                    if vals.size:
-                        mat[i, i + 1 :] = vals
-                        mat[i + 1 :, i] = vals
-        return mat
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
 class CompiledBackend(StretchBackend):
     """Compiled kernel tier over the same padded tensor layout.
 
@@ -581,8 +687,6 @@ class CompiledBackend(StretchBackend):
     """
 
     name = "compiled"
-    fast_exact = True
-    supports_bounded = True
 
     def __init__(self, compute: ComputeConfig, stretch: StretchConfig):
         super().__init__(compute, stretch)
@@ -710,15 +814,14 @@ class CompiledBackend(StretchBackend):
     def bounded_many_vs_all(
         self, probe_slots, store, bounds, targets, thresholds, owned=None
     ):
-        """Fused bound-and-prune argmin sweep (DESIGN.md D13).
+        """The base contract as one fused native walk per probe batch.
 
-        Per probe slot, returns the running-best ``(min, argmin)`` over
-        ``targets`` (self-pairs skipped in-kernel) plus the count of
-        pairs whose exact evaluation the inline level-0/level-1 bounds
-        pruned.  Probes are independent, so the thread splitter applies
-        unchanged.  ``owned`` carries the cc addresses of the store and
-        ``bounds`` buffers when their owner resolved them
-        (:meth:`StretchEngine._owned`).
+        The kernel prunes candidate by candidate against the running
+        best, so it evaluates fewer pairs than the batched base walk;
+        results are the same.  Probes are independent, so the thread
+        splitter applies unchanged.  ``owned`` carries the cc addresses
+        of the store and ``bounds`` buffers when their owner resolved
+        them (:meth:`StretchEngine._owned`).
         """
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         targets = np.ascontiguousarray(targets, dtype=np.int64)
@@ -765,17 +868,8 @@ class CompiledBackend(StretchBackend):
         self, probe_slots, store, bounds, targets, offsets, thresholds,
         reverse, best_vals, owned=None,
     ):
-        """Fused bound-and-prune row sweep with reverse-aware skipping.
-
-        ``targets`` and ``reverse`` are flat CSR: probe ``p`` sweeps
-        ``targets[offsets[p]:offsets[p + 1]]`` (``offsets[0] == 0``).
-        Returns the flat rows, in the same layout, with ``+inf``
-        sentinels at pruned positions plus per-probe pruned counts.
-        ``reverse`` pairs are only skipped when the bound also clears
-        the target's cached best (``best_vals``), keeping reverse
-        propagation value-transparent (DESIGN.md D13).  ``owned`` is as
-        in :meth:`bounded_many_vs_all`.
-        """
+        """The base row contract as one fused native walk; see
+        :meth:`bounded_many_vs_all`."""
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         P = probe_slots.shape[0]
         pruned = np.zeros(P, dtype=np.int64)
@@ -829,121 +923,15 @@ class CompiledBackend(StretchBackend):
             self._threads = None
 
 
-class AutoBackend(StretchBackend):
-    """Workload-size dispatch between the registered compute tiers.
-
-    Small workloads stay on the inline kernels — the compiled tier when
-    the ``[compiled]`` extra is importable, the NumPy reference
-    otherwise (both byte-identical, so the preference is invisible in
-    results).  Full matrix builds over at least
-    ``parallel_matrix_threshold`` fingerprints and one-vs-all calls
-    over at least ``parallel_targets_threshold`` targets go to the
-    process pool (when more than one worker is available).
+def auto_backend(compute: ComputeConfig, stretch: StretchConfig) -> StretchBackend:
+    """The ``auto`` tier: the compiled kernels when an accelerated binding
+    (numba extra or system-cc build) is bound, the NumPy reference
+    otherwise.  Byte-identity across tiers (enforced by the parity
+    suite) keeps the choice value-transparent.
     """
-
-    name = "auto"
-
-    def __init__(self, compute: ComputeConfig, stretch: StretchConfig):
-        super().__init__(compute, stretch)
-        self.workers = _effective_workers(compute)
-        self._numpy = NumpyBackend(compute, stretch)
-        # Inline tier: the compiled kernels when an accelerated binding
-        # exists (numba extra or system-cc build), the NumPy reference
-        # otherwise.  Byte-identity across tiers (enforced by the
-        # parity suite) keeps the switch value-transparent.
-        if kernels.COMPILED_AVAILABLE:
-            self._inline: StretchBackend = CompiledBackend(compute, stretch)
-            self.fast_exact = True
-            self.supports_bounded = True
-        else:
-            self._inline = self._numpy
-        self._process: Optional[ProcessBackend] = None
-
-    def _pooled(self) -> ProcessBackend:
-        if self._process is None:
-            self._process = ProcessBackend(self.compute, self.stretch)
-        return self._process
-
-    def _prefer_pool(self, n_pairs_threshold: bool) -> bool:
-        """Route to the process pool only when the inline tier is the
-        NumPy reference.  At the measured per-pair costs (~0.97 µs
-        inline compiled vs ~26 µs pooled, kernel bench row) the
-        fork-and-pickle pool never beats the compiled inline tier, so
-        workload size alone must not send work there.
-        """
-        return (
-            self._inline is self._numpy
-            and self.workers > 1
-            and n_pairs_threshold
-        )
-
-    def one_vs_all(self, probe_data, probe_count, packed, targets):
-        targets = np.asarray(targets, dtype=np.int64)
-        if self._prefer_pool(
-            targets.size >= self.compute.parallel_targets_threshold
-        ):
-            return self._pooled().one_vs_all(probe_data, probe_count, packed, targets)
-        return self._inline.one_vs_all(probe_data, probe_count, packed, targets)
-
-    def many_vs_all(self, probes, probe_counts, packed, targets):
-        return self._inline.many_vs_all(probes, probe_counts, packed, targets)
-
-    def many_vs_some(self, probes, probe_counts, packed, targets_list):
-        return self._inline.many_vs_some(probes, probe_counts, packed, targets_list)
-
-    def bounded_many_vs_all(
-        self, probe_slots, store, bounds, targets, thresholds, owned=None
-    ):
-        return self._inline.bounded_many_vs_all(
-            probe_slots, store, bounds, targets, thresholds, owned
-        )
-
-    def bounded_many_vs_some(
-        self, probe_slots, store, bounds, targets, offsets, thresholds,
-        reverse, best_vals, owned=None,
-    ):
-        return self._inline.bounded_many_vs_some(
-            probe_slots, store, bounds, targets, offsets, thresholds,
-            reverse, best_vals, owned,
-        )
-
-    def pairwise_matrix(self, packed):
-        if self._prefer_pool(len(packed) >= self.compute.parallel_matrix_threshold):
-            return self._pooled().pairwise_matrix(packed)
-        return self._inline.pairwise_matrix(packed)
-
-    def dispatch_counters(self) -> Tuple[int, int, int, int]:
-        """Aggregate over the delegate tiers.
-
-        Multi-probe calls route to the inline tier unconditionally;
-        before these counters that was a *silent* per-probe fallback
-        whenever no compiled binding existed — now a batched frontier
-        that degraded to P crossings per pass is visible in
-        :class:`repro.core.glove.GloveStats` and the kernel benchmark
-        row rather than only in wall time.
-        """
-        children = [self._numpy]
-        if self._inline is not self._numpy:
-            children.append(self._inline)
-        if self._process is not None:
-            children.append(self._process)
-        crossings = self.n_boundary_crossings
-        probes = self.n_probe_dispatches
-        batched = self.n_batched_probes
-        bound_pruned = self.n_bound_pruned
-        for child in children:
-            crossings += child.n_boundary_crossings
-            probes += child.n_probe_dispatches
-            batched += child.n_batched_probes
-            bound_pruned += child.n_bound_pruned
-        return (crossings, probes, batched, bound_pruned)
-
-    def close(self) -> None:
-        if self._inline is not self._numpy:
-            self._inline.close()
-        if self._process is not None:
-            self._process.close()
-            self._process = None
+    if kernels.COMPILED_AVAILABLE:
+        return CompiledBackend(compute, stretch)
+    return NumpyBackend(compute, stretch)
 
 
 # ----------------------------------------------------------------------
@@ -953,9 +941,8 @@ BackendFactory = Callable[[ComputeConfig, StretchConfig], StretchBackend]
 
 _BACKENDS: Dict[str, BackendFactory] = {
     "numpy": NumpyBackend,
-    "process": ProcessBackend,
     "compiled": CompiledBackend,
-    "auto": AutoBackend,
+    "auto": auto_backend,
 }
 
 
@@ -1034,30 +1021,26 @@ def compute_pairwise_matrix(
 
 
 # ----------------------------------------------------------------------
-# The engine: store + backend + lower bounds
+# The engine: store + backend + bound summaries
 # ----------------------------------------------------------------------
-def _interval_gap(a_lo, a_hi, b_lo, b_hi):
-    """Separation between intervals ``[a_lo, a_hi]`` and ``[b_lo, b_hi]``."""
-    return np.maximum(0.0, np.maximum(a_lo - b_hi, b_lo - a_hi))
-
-
 class StretchEngine:
     """Stretch-compute subsystem driving one GLOVE (or k-gap) workload.
 
-    Owns a :class:`SlotStore`, a backend instance, and — when pruning is
-    enabled — per-slot bounding-box summaries supporting two levels of
-    lower bounds on the fingerprint stretch effort (Eq. 10):
+    Owns a :class:`SlotStore`, a backend instance, and per-slot
+    bounding-box summaries supporting two levels of lower bounds on the
+    fingerprint stretch effort (Eq. 10):
 
-    * **level 0** (:meth:`hull_lower_bounds`): the spatiotemporal gap
+    * **level 0** (:func:`hull_lower_bounds`): the spatiotemporal gap
       between two slots' global bounding boxes, O(1) per pair;
-    * **level 1** (:meth:`bucket_lower_bounds`): the probe's samples
+    * **level 1** (:func:`bucket_lower_bounds`): the probe's samples
       against the target's per-time-bucket spatial hulls (and vice
       versa, following Eq. 10's longer-side rule), O(m·B) per pair with
       ``B`` a small constant.
 
     Both bounds never exceed the exact effort (see DESIGN.md for the
-    proof sketch), so a caller tracking a current-best value may skip
-    the exact kernel for any candidate whose bound is already worse.
+    proof sketch), so the backend's bounded sweeps skip the exact
+    kernel for any candidate whose bound is already worse than the
+    current best.
     """
 
     def __init__(
@@ -1070,29 +1053,14 @@ class StretchEngine:
         self.stretch = stretch
         self.store = SlotStore(fingerprints)
         self.backend = create_backend(self.compute, stretch)
-        self.pruning = self.compute.pruning
-        # With a compiled exact kernel the level-1 bucket refinement
-        # costs more than the (at most one batch of) evaluations it
-        # prunes, so walkers consult this flag and stop at level 0.
-        # Bound tightness never changes outputs, only eval counts.
-        self.lb1_pruning = self.pruning and not self.backend.fast_exact
-        # Fused in-kernel bound-and-prune sweep (DESIGN.md D13): when
-        # the backend exposes the bounded entries, walkers hand the
-        # whole bound→sort→walk loop to one native call per pass and
-        # skip the Python-side bound sweep entirely.
-        self.fused_pruning = self.pruning and getattr(
-            self.backend, "supports_bounded", False
-        )
-        if self.pruning:
-            self._init_bounds()
+        self._init_bounds()
 
     # -- slot lifecycle -------------------------------------------------
     def append(self, fp: Fingerprint) -> int:
         """Add a fingerprint (e.g. a merge product); returns its slot."""
         slot = self.store.append(fp)
-        if self.pruning:
-            self._ensure_bound_capacity()
-            self._summarize(np.array([slot], dtype=np.int64))
+        self._ensure_bound_capacity()
+        self._summarize(np.array([slot], dtype=np.int64))
         return slot
 
     def retire(self, slot: int) -> None:
@@ -1107,41 +1075,11 @@ class StretchEngine:
             self.store.probe(slot), int(self.store.counts[slot]), self.store, targets
         )
 
-    def rows(self, slots: Sequence[int], targets: np.ndarray) -> np.ndarray:
-        """Exact efforts from several live slots to one shared target set.
-
-        Returns a ``(len(slots), len(targets))`` matrix; row ``p`` is
-        bitwise equal to :meth:`row` of ``slots[p]``.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        store = self.store
-        return self.backend.many_vs_all(
-            [store.probe(int(s)) for s in slots],
-            [int(store.counts[s]) for s in slots],
-            store, targets,
-        )
-
-    def rows_some(
-        self, slots: Sequence[int], targets_list: Sequence[np.ndarray]
-    ) -> List[np.ndarray]:
-        """Exact efforts from several live slots, each to its own targets.
-
-        The ragged multi-probe dispatch behind the batched merge
-        frontier: entry ``p`` is bitwise equal to :meth:`row` of
-        ``slots[p]`` against ``targets_list[p]``.
-        """
-        store = self.store
-        return self.backend.many_vs_some(
-            [store.probe(int(s)) for s in slots],
-            [int(store.counts[s]) for s in slots],
-            store, targets_list,
-        )
-
     def pairwise_matrix(self) -> np.ndarray:
         """Full matrix over the currently stored slots."""
         return self.backend.pairwise_matrix(self.store.view())
 
-    # -- fused bound-and-prune dispatch (DESIGN.md D13) -----------------
+    # -- bounded nearest-neighbour sweeps (DESIGN.md D13) ---------------
     def _bounds_pack(self):
         return (self._hull, self._bucket_hull, self._bucket_occ)
 
@@ -1160,14 +1098,13 @@ class StretchEngine:
     def bounded_argmin(
         self, slots: Sequence[int], targets: np.ndarray, thresholds=None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fused ``(min, argmin, pruned)`` per probe slot over ``targets``.
+        """Bounded ``(min, argmin, pruned)`` per probe slot over ``targets``.
 
-        Requires :attr:`fused_pruning`.  Self-pairs are skipped
-        in-kernel; a probe whose exact minimum is not strictly below
-        its threshold reports ``(threshold, -1)``.  Without thresholds
-        (``+inf``) the result is bitwise the lowest-index argmin of the
-        exact :meth:`row` — the in-kernel running best only prunes
-        pairs that cannot win (DESIGN.md D13).
+        Self-pairs are skipped; a probe whose exact minimum is not
+        strictly below its threshold reports ``(threshold, -1)``.
+        Without thresholds (``+inf``) the result is bitwise the
+        lowest-index argmin of the exact :meth:`row` — the running best
+        only prunes pairs that cannot win (DESIGN.md D13).
         """
         slots_arr = np.ascontiguousarray(slots, dtype=np.int64)
         return self.backend.bounded_many_vs_all(
@@ -1184,10 +1121,9 @@ class StretchEngine:
         best_vals: np.ndarray,
         thresholds=None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused flat rows with ``+inf`` sentinels at pruned positions.
+        """Bounded flat rows with ``+inf`` sentinels at pruned positions.
 
-        Requires :attr:`fused_pruning`.  ``targets`` and ``reverse``
-        are flat CSR: probe ``slots[p]`` sweeps
+        ``targets`` and ``reverse`` are flat CSR: probe ``slots[p]`` sweeps
         ``targets[offsets[p]:offsets[p + 1]]`` (``offsets[0] == 0``),
         and its row comes back at the same positions of the returned
         flat array, together with per-probe pruned counts.  Each row
@@ -1204,7 +1140,7 @@ class StretchEngine:
             self._owned(),
         )
 
-    # -- pruning summaries ---------------------------------------------
+    # -- bound summaries -----------------------------------------------
     def _init_bounds(self) -> None:
         store = self.store
         n = store.size
@@ -1297,135 +1233,6 @@ class StretchEngine:
         bh[:, 4] = np.maximum(bucket_min(t_lo), edges[:-1])
         bh[:, 5] = np.minimum(-bucket_min(-t_hi), edges[1:])
         self._bucket_occ[slot] = occ
-
-    # -- lower bounds ---------------------------------------------------
-    def hull_lower_bounds(self, slot: int, targets: np.ndarray) -> np.ndarray:
-        """Level-0 bound: gap between global bounding boxes, O(1)/pair."""
-        h = self._hull[:, slot]
-        H = self._hull[:, targets]
-        gx = _interval_gap(h[0], h[1], H[0], H[1])
-        gy = _interval_gap(h[2], h[3], H[2], H[3])
-        gt = _interval_gap(h[4], h[5], H[4], H[5])
-        cfg = self.stretch
-        return cfg.w_sigma * np.minimum((gx + gy) / cfg.phi_max_sigma_m, 1.0) + (
-            cfg.w_tau * np.minimum(gt / cfg.phi_max_tau_min, 1.0)
-        )
-
-    def hull_lower_bounds_many(
-        self, slots: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray:
-        """Level-0 bounds for several probe slots at once: ``(P, T)``.
-
-        Row ``p`` is bitwise equal to :meth:`hull_lower_bounds` of
-        ``slots[p]`` (pure elementwise arithmetic), computed in one
-        broadcast instead of ``P`` dispatches.
-        """
-        h = self._hull[:, np.asarray(slots, dtype=np.int64)][:, :, None]  # (6, P, 1)
-        H = self._hull[:, targets][:, None, :]  # (6, 1, T)
-        gx = _interval_gap(h[0], h[1], H[0], H[1])
-        gy = _interval_gap(h[2], h[3], H[2], H[3])
-        gt = _interval_gap(h[4], h[5], H[4], H[5])
-        cfg = self.stretch
-        return cfg.w_sigma * np.minimum((gx + gy) / cfg.phi_max_sigma_m, 1.0) + (
-            cfg.w_tau * np.minimum(gt / cfg.phi_max_tau_min, 1.0)
-        )
-
-    def bucket_lower_bounds(self, slot: int, targets: np.ndarray) -> np.ndarray:
-        """Level-1 bound: samples vs per-time-bucket hulls, O(m·B)/pair.
-
-        Follows Eq. 10's direction rule: the mean runs over the longer
-        fingerprint's samples (both directions averaged on equal
-        lengths), so each direction is bounded with the corresponding
-        side's samples against the other side's bucket hulls.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        ma = int(self.store.lengths[slot])
-        len_t = self.store.lengths[targets]
-        a_side = ma >= len_t  # probe is the longer (or equal) side
-        b_side = len_t >= ma  # target is the longer (or equal) side
-        la = np.zeros(targets.size)
-        lb = np.zeros(targets.size)
-        if a_side.any():
-            la[a_side] = self._lb_probe_samples(slot, targets[a_side])
-        if b_side.any():
-            lb[b_side] = self._lb_target_samples(slot, targets[b_side])
-        out = np.where(
-            ma > len_t, la, np.where(len_t > ma, lb, (la + lb) / 2.0)
-        )
-        return out
-
-    def _sample_bucket_lb(self, s_lo, s_hi, hulls, occ):
-        """Per-(sample, bucket) bound; ``inf`` on unoccupied buckets.
-
-        ``s_lo``/``s_hi`` are ``(..., 3)`` interval bounds (x, y, t) and
-        ``hulls`` is ``(..., B, 6)``; broadcasting aligns the rest.
-        """
-        gx = _interval_gap(s_lo[..., 0], s_hi[..., 0], hulls[..., 0], hulls[..., 1])
-        gy = _interval_gap(s_lo[..., 1], s_hi[..., 1], hulls[..., 2], hulls[..., 3])
-        gt = _interval_gap(s_lo[..., 2], s_hi[..., 2], hulls[..., 4], hulls[..., 5])
-        cfg = self.stretch
-        lb = cfg.w_sigma * np.minimum((gx + gy) / cfg.phi_max_sigma_m, 1.0) + (
-            cfg.w_tau * np.minimum(gt / cfg.phi_max_tau_min, 1.0)
-        )
-        return np.where(occ, lb, np.inf)
-
-    def _lb_probe_samples(self, slot: int, targets: np.ndarray) -> np.ndarray:
-        """Mean over probe samples of the min bound to target buckets."""
-        d = self.store.probe(slot)
-        s_lo = np.stack([d[:, X], d[:, Y], d[:, T]], axis=-1)
-        s_hi = np.stack([d[:, X] + d[:, DX], d[:, Y] + d[:, DY], d[:, T] + d[:, DT]], axis=-1)
-        ma = d.shape[0]
-        n_buckets = self._bucket_hull.shape[1]
-        out = np.empty(targets.size)
-        block = max(1, (1 << 21) // max(ma * n_buckets, 1))
-        for start in range(0, targets.size, block):
-            sel = targets[start : start + block]
-            hulls = self._bucket_hull[sel][:, None, :, :]  # (C, 1, B, 6)
-            occ = self._bucket_occ[sel][:, None, :]  # (C, 1, B)
-            lb = self._sample_bucket_lb(
-                s_lo[None, :, None, :], s_hi[None, :, None, :], hulls, occ
-            )  # (C, ma, B)
-            out[start : start + sel.size] = lb.min(axis=2).mean(axis=1)
-        return out
-
-    def _lb_target_samples(self, slot: int, targets: np.ndarray) -> np.ndarray:
-        """Masked mean over target samples of the min bound to probe buckets.
-
-        Targets are grouped by length so the broadcast work is sliced to
-        each block's own maximum sample count; the final mean still sums
-        a zero-padded width-``m_max`` array, so every bound value is
-        bitwise independent of the block composition (same argument as
-        :func:`repro.core.pairwise._chunk_efforts`).
-        """
-        occ = self._bucket_occ[slot]
-        hulls = self._bucket_hull[slot][occ]  # (Bo, 6)
-        n_b = hulls.shape[0]
-        m_max = self.store.m_max
-        out = np.empty(targets.size)
-        order = (
-            np.argsort(self.store.lengths[targets], kind="stable")
-            if targets.size > 1
-            else np.arange(targets.size)
-        )
-        block = max(1, (1 << 21) // max(m_max * n_b, 1))
-        for start in range(0, targets.size, block):
-            pos = order[start : start + block]
-            sel = targets[pos]
-            width = int(self.store.lengths[sel].max())
-            d = self.store.data[sel, :width]  # (C, W, 6)
-            mask = self.store.mask[sel, :width]
-            s_lo = np.stack([d[:, :, X], d[:, :, Y], d[:, :, T]], axis=-1)
-            s_hi = np.stack(
-                [d[:, :, X] + d[:, :, DX], d[:, :, Y] + d[:, :, DY], d[:, :, T] + d[:, :, DT]],
-                axis=-1,
-            )
-            lb = self._sample_bucket_lb(
-                s_lo[:, :, None, :], s_hi[:, :, None, :], hulls[None, None, :, :], True
-            )  # (C, W, Bo)
-            per_sample = np.zeros((sel.size, m_max), dtype=np.float64)
-            per_sample[:, :width] = np.where(mask, lb.min(axis=2), 0.0)
-            out[pos] = per_sample.sum(axis=1) / self.store.lengths[sel]
-        return out
 
     # -- resource management -------------------------------------------
     def close(self) -> None:

@@ -350,7 +350,7 @@ def _build_kernels(decorate):
     def hull_bound(hull, a, t, w_sigma, w_tau, phi_sigma, phi_tau):
         # Level-0 bound: gap between the (6, cap) component-major hull
         # SoA columns of slots a and t — the scalar twin of
-        # StretchEngine.hull_lower_bounds.
+        # repro.core.engine.hull_lower_bounds.
         gx = interval_gap(hull[0, a], hull[1, a], hull[0, t], hull[1, t])
         gy = interval_gap(hull[2, a], hull[3, a], hull[2, t], hull[3, t])
         gt = interval_gap(hull[4, a], hull[5, a], hull[4, t], hull[5, t])
@@ -405,7 +405,7 @@ def _build_kernels(decorate):
     ):
         # Level-1 bound: samples vs per-time-bucket hulls following
         # Eq. 10's longer-side rule — the scalar twin of
-        # StretchEngine.bucket_lower_bounds.  The a-side direction
+        # repro.core.engine.bucket_lower_bounds.  The a-side direction
         # means a's per-sample minima over c's buckets; the c-side
         # direction sums c's minima over the probe's buckets as a
         # zero-padded width-m_max vector, replicating the reference's

@@ -89,10 +89,9 @@ def kgap(
     compute:
         Compute-substrate selection for the matrix build (ignored when
         ``matrix`` is given); defaults to the process-wide
-        :func:`repro.core.engine.get_default_compute`.  The ``auto``
-        backend dispatches large builds to the process pool; the
-        ``sharded`` backend's kernels delegate to the same dispatch
-        (matrix builds have no population to partition), so ``--backend
+        :func:`repro.core.engine.get_default_compute`.  The
+        ``sharded`` backend's kernels are the ``auto`` choice (matrix
+        builds have no population to partition), so ``--backend
         sharded`` is safe end-to-end through ``glove measure``.
     """
     if k < 2:

@@ -21,8 +21,8 @@ D4's ``register_backend()`` extension point:
    bounded by one extra merge per shard.
 
 Selected as the ``sharded`` entry of the engine's backend registry:
-kernel-level calls (k-gap matrix builds) delegate to the ``auto``
-dispatch, while whole ``glove()`` runs are taken over through
+kernel-level calls (k-gap matrix builds) run on the ``auto`` tier,
+while whole ``glove()`` runs are taken over through
 :func:`repro.core.engine.register_glove_driver`.  With one shard the
 driver is byte-identical to the unsharded path; invariants live in
 DESIGN.md D5 and are enforced by ``tests/core/test_shard.py`` and
@@ -42,9 +42,9 @@ import numpy as np
 from repro.core.config import ComputeConfig, GloveConfig
 from repro.core.dataset import FingerprintDataset
 from repro.core.engine import (
-    AutoBackend,
     StretchEngine,
     _effective_workers,
+    auto_backend,
     get_default_compute,
     register_backend,
     register_glove_driver,
@@ -70,18 +70,6 @@ AUTO_SHARD_TARGET = 768
 
 #: Cap on the auto-selected shard count.
 AUTO_SHARD_CAP = 32
-
-
-class ShardedBackend(AutoBackend):
-    """Kernel tier of the ``sharded`` backend.
-
-    Bulk kernel calls (k-gap matrix builds, one-vs-all rows) have no
-    population to partition, so they delegate to the ``auto`` dispatch;
-    the shard-level orchestration lives in :func:`sharded_glove`, which
-    the engine routes whole ``glove()`` runs to.
-    """
-
-    name = "sharded"
 
 
 def resolve_shards(compute: ComputeConfig, n: int) -> int:
@@ -269,7 +257,7 @@ def sharded_glove(
     parts = partition_indices(fps, n_shards, compute.shard_strategy)
     stats.shards_used = len(parts)
     tasks = [([fps[int(i)] for i in part], config, inner) for part in parts]
-    workers = min(_effective_workers(compute), len(parts))
+    workers = min(_effective_workers(compute.workers), len(parts))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shard_results = list(pool.map(_shard_task, tasks))
@@ -299,5 +287,8 @@ def sharded_glove(
     return finalize_result(out, stats, config)
 
 
-register_backend("sharded", ShardedBackend)
+# Bulk kernel calls (k-gap matrix builds, one-vs-all rows) have no
+# population to partition, so the sharded backend's kernel tier is the
+# ``auto`` choice; whole glove() runs go to sharded_glove.
+register_backend("sharded", auto_backend)
 register_glove_driver("sharded", sharded_glove)

@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="directory to save .txt/.json report artifacts",
     )
-    add_compute_arguments(parser, pruning=True)
+    add_compute_arguments(parser)
     add_pipeline_arguments(parser)
     return parser
 

@@ -318,9 +318,7 @@ def test_sweeps_follow_the_buffers_past_the_first_capacity():
 def test_engine_buffers_die_with_the_engine():
     compute = ComputeConfig(backend="compiled" if kernels.COMPILED_AVAILABLE else "numpy")
     engine = StretchEngine(population(), StretchConfig(), compute)
-    if engine.fused_pruning:
-        n = len(engine.store)
-        engine.bounded_argmin([0, 1], np.arange(n, dtype=np.int64))
+    engine.bounded_argmin([0, 1], np.arange(len(engine.store), dtype=np.int64))
     engine.append(Fingerprint("extra", engine.store.probe(0).copy()))
     refs = [weakref.ref(a) for a in (engine.store.data, engine._hull, engine._bucket_hull)]
     del engine

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 
 from repro.core.config import DEFAULT_CHUNK, ComputeConfig, GloveConfig, StretchConfig
 from repro.core.dataset import FingerprintDataset
+from repro.core import kernels
 from repro.core.engine import (
+    CompiledBackend,
     NumpyBackend,
     SlotStore,
     StretchEngine,
@@ -22,8 +24,13 @@ from repro.core.glove import glove
 from repro.core.merge import merge_fingerprints
 from repro.core.pairwise import PaddedFingerprints, one_vs_all, pairwise_matrix
 from repro.core.parallel import parallel_pairwise_matrix
+from benchmarks.seed_path import seed_glove
 from tests.conftest import make_fp
+from tests.core.test_kernel_edges import lb0, lb1
 from tests.properties.test_k_anonymity import populations
+
+#: The backend names whose glove() output must equal the seed path's.
+KERNEL_BACKENDS = ("numpy", "auto") + (("compiled",) if kernels.COMPILED_AVAILABLE else ())
 
 
 class TestSlotStore:
@@ -69,15 +76,6 @@ class TestSlotStore:
 class TestBackendEquivalence:
     """Backends must be value-transparent: byte-identical results."""
 
-    def test_matrix_process_equals_numpy(self, small_civ):
-        fps = list(small_civ)[:20]
-        stretch = StretchConfig()
-        seq = compute_pairwise_matrix(fps, stretch, ComputeConfig(backend="numpy"))
-        par = compute_pairwise_matrix(
-            fps, stretch, ComputeConfig(backend="process", workers=2)
-        )
-        np.testing.assert_array_equal(seq, par)
-
     def test_matrix_matches_legacy_kernels(self, small_civ):
         fps = list(small_civ)[:15]
         engine_mat = compute_pairwise_matrix(fps, compute=ComputeConfig(backend="numpy"))
@@ -86,26 +84,11 @@ class TestBackendEquivalence:
             engine_mat, parallel_pairwise_matrix(fps, n_workers=2, block=4)
         )
 
-    def test_sharded_one_vs_all_equals_inline(self, small_civ):
-        fps = list(small_civ)[:16]
-        stretch = StretchConfig()
-        packed = PaddedFingerprints(fps)
-        targets = np.arange(1, len(fps))
-        inline = create_backend(ComputeConfig(backend="numpy"), stretch)
-        sharded = create_backend(
-            ComputeConfig(backend="process", workers=2, parallel_targets_threshold=1),
-            stretch,
-        )
-        with inline, sharded:
-            a = inline.one_vs_all(fps[0].data, fps[0].count, packed, targets)
-            b = sharded.one_vs_all(fps[0].data, fps[0].count, packed, targets)
-        np.testing.assert_array_equal(a, b)
-
     def test_glove_identical_across_backends(self, small_civ):
         config = GloveConfig(k=3)
         results = {
             name: glove(small_civ, config, ComputeConfig(backend=name))
-            for name in ("numpy", "process", "auto")
+            for name in KERNEL_BACKENDS
         }
         reference = results["numpy"]
         for name, result in results.items():
@@ -115,16 +98,17 @@ class TestBackendEquivalence:
                 np.testing.assert_array_equal(a.data, b.data)
 
     def test_glove_identical_with_and_without_pruning(self, small_civ):
+        # The seed path is the exhaustive search, with no bounds at all.
         config = GloveConfig(k=2)
-        pruned = glove(small_civ, config, ComputeConfig(backend="numpy", pruning=True))
-        full = glove(small_civ, config, ComputeConfig(backend="numpy", pruning=False))
+        pruned = glove(small_civ, config, ComputeConfig(backend="numpy"))
+        full = seed_glove(small_civ, config)
         assert pruned.stats.n_merges == full.stats.n_merges
+        assert len(pruned.dataset) == len(full.dataset)
         for a, b in zip(pruned.dataset, full.dataset):
             assert a.members == b.members
             np.testing.assert_array_equal(a.data, b.data)
         assert pruned.stats.n_pruned_evaluations > 0
-        assert full.stats.n_pruned_evaluations == 0
-        assert pruned.stats.n_exact_evaluations < full.stats.n_exact_evaluations
+        assert pruned.stats.n_bound_pruned == pruned.stats.n_pruned_evaluations
 
 
 class TestLowerBounds:
@@ -139,8 +123,7 @@ class TestLowerBounds:
         for slot in range(0, n, 5):
             targets = np.array([t for t in range(n) if t != slot], dtype=np.int64)
             exact = engine.row(slot, targets)
-            lb = engine.hull_lower_bounds(slot, targets)
-            assert (lb <= exact + 1e-12).all()
+            assert (lb0(engine, slot, targets) <= exact + 1e-12).all()
 
     def test_bucket_bound_is_a_lower_bound_and_tighter(self, engine):
         n = len(engine.store)
@@ -148,12 +131,12 @@ class TestLowerBounds:
         for slot in range(0, n, 5):
             targets = np.array([t for t in range(n) if t != slot], dtype=np.int64)
             exact = engine.row(slot, targets)
-            lb0 = engine.hull_lower_bounds(slot, targets)
-            lb1 = engine.bucket_lower_bounds(slot, targets)
-            assert (lb1 <= exact + 1e-12).all()
-            assert (lb0 <= lb1 + 1e-12).all()
-            total_lb0 += lb0.sum()
-            total_lb1 += lb1.sum()
+            level0 = lb0(engine, slot, targets)
+            level1 = lb1(engine, slot, targets)
+            assert (level1 <= exact + 1e-12).all()
+            assert (level0 <= level1 + 1e-12).all()
+            total_lb0 += level0.sum()
+            total_lb1 += level1.sum()
         assert total_lb1 >= total_lb0
 
     def test_bounds_stay_valid_for_merge_products(self, engine, small_civ):
@@ -162,8 +145,8 @@ class TestLowerBounds:
         slot = engine.append(merged)
         targets = np.arange(2, 10, dtype=np.int64)
         exact = engine.row(slot, targets)
-        assert (engine.hull_lower_bounds(slot, targets) <= exact + 1e-12).all()
-        assert (engine.bucket_lower_bounds(slot, targets) <= exact + 1e-12).all()
+        assert (lb0(engine, slot, targets) <= exact + 1e-12).all()
+        assert (lb1(engine, slot, targets) <= exact + 1e-12).all()
 
 
 class TestKernelProperties:
@@ -202,16 +185,16 @@ class TestKernelProperties:
         for slot in range(n):
             targets = np.array([t for t in range(n) if t != slot], dtype=np.int64)
             exact = engine.row(slot, targets)
-            lb0 = engine.hull_lower_bounds(slot, targets)
-            lb1 = engine.bucket_lower_bounds(slot, targets)
-            assert (lb0 <= lb1 + 1e-12).all()
-            assert (lb1 <= exact + 1e-12).all()
+            level0 = lb0(engine, slot, targets)
+            level1 = lb1(engine, slot, targets)
+            assert (level0 <= level1 + 1e-12).all()
+            assert (level1 <= exact + 1e-12).all()
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = available_backends()
-        assert {"numpy", "process", "auto"} <= set(names)
+        assert {"numpy", "compiled", "auto", "sharded"} == set(names)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown compute backend"):
@@ -251,31 +234,14 @@ class TestRegistry:
 
 class TestAutoSelection:
     def test_small_workload_stays_in_process(self, small_civ):
+        # auto is a plain choice of in-process tier: the compiled
+        # kernels when bound, the NumPy reference otherwise.
         fps = list(small_civ)[:10]
         backend = create_backend(ComputeConfig(backend="auto"), StretchConfig())
-        with backend:
-            backend.pairwise_matrix(PaddedFingerprints(fps))
-            assert backend._process is None  # the pool was never spun up
-
-    def test_large_matrix_routing_prefers_inline_compiled(self, small_civ):
-        """Pool engages on big matrices only without a compiled inline tier.
-
-        At the measured per-pair costs (~0.97 µs inline compiled vs
-        ~26 µs through the fork-and-pickle pool) the pool can never win
-        against the compiled kernels, so workload size alone must not
-        send work there (Issue 10 satellite).
-        """
-        from repro.core import kernels
-
-        fps = list(small_civ)[:10]
-        compute = ComputeConfig(backend="auto", workers=2, parallel_matrix_threshold=4)
-        backend = create_backend(compute, StretchConfig())
+        tier = CompiledBackend if kernels.COMPILED_AVAILABLE else NumpyBackend
+        assert type(backend) is tier
         with backend:
             mat = backend.pairwise_matrix(PaddedFingerprints(fps))
-            if kernels.COMPILED_AVAILABLE:
-                assert backend._process is None  # inline compiled wins
-            else:
-                assert backend._process is not None
         np.testing.assert_array_equal(mat, pairwise_matrix(fps))
 
 
@@ -293,9 +259,9 @@ class TestDefaultCompute:
     def test_glove_uses_installed_default(self, small_civ):
         original = get_default_compute()
         try:
-            set_default_compute(ComputeConfig(backend="numpy", pruning=False))
-            result = glove(small_civ, GloveConfig(k=2))
-            assert result.stats.n_pruned_evaluations == 0
+            set_default_compute(ComputeConfig(backend="quantum"))
+            with pytest.raises(ValueError, match="unknown compute backend 'quantum'"):
+                glove(small_civ, GloveConfig(k=2))
         finally:
             set_default_compute(original)
 
@@ -316,12 +282,19 @@ class TestComputeConfig:
             {"shard_strategy": "geo"},
             {"lb_bucket_minutes": -1.0},
             {"lb_max_buckets": 0},
-            {"parallel_matrix_threshold": -1},
+            {"lb_bucket_minutes": float("nan")},
+            {"chunk": 2.5},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             ComputeConfig(**kwargs)
+
+    def test_infinite_bucket_width_means_one_bucket(self, small_civ):
+        compute = ComputeConfig(backend="numpy", lb_bucket_minutes=float("inf"))
+        engine = StretchEngine(list(small_civ)[:6], compute=compute)
+        assert engine._bucket_occ.shape[1] == 1
 
     def test_chunking_never_changes_values(self, small_civ):
         fps = list(small_civ)[:12]
@@ -387,8 +360,6 @@ class TestDispatchCounters:
 
         if not kernels.COMPILED_AVAILABLE:
             pytest.skip("no accelerated kernel binding")
-        from repro.core.engine import CompiledBackend
-
         packed, probes, counts, targets = self._probes(small_civ)
         backend = CompiledBackend(ComputeConfig(backend="compiled"), StretchConfig())
         with backend:
@@ -397,26 +368,15 @@ class TestDispatchCounters:
             backend.many_vs_some(probes, counts, packed, [targets] * 4)
             assert backend.dispatch_counters() == (2, 8, 8, 0)
 
-    def test_auto_backend_aggregates_children(self, small_civ):
-        from repro.core.engine import AutoBackend
-
-        packed, probes, counts, targets = self._probes(small_civ)
-        backend = AutoBackend(ComputeConfig(backend="auto", workers=1), StretchConfig())
-        with backend:
-            backend.many_vs_all(probes, counts, packed, targets)
-            crossings, dispatches, batched, _ = backend.dispatch_counters()
-        assert dispatches == 4
-        # Aggregation covers whichever inline tier the environment has:
-        # batched native (1 crossing) or the per-probe NumPy fallback.
-        assert crossings in (1, 4)
-
     def test_glove_stats_harvest_counters(self, small_civ):
         result = glove(small_civ, GloveConfig(k=2), ComputeConfig(backend="numpy"))
         stats = result.stats
         assert stats.n_boundary_crossings > 0
         assert stats.n_probe_dispatches >= stats.n_batched_probes
-        # The numpy tier has no batched native entries.
+        # The numpy tier has no batched native entries, and prunes in
+        # its bounded walk.
         assert stats.n_batched_probes == 0
+        assert stats.n_bound_pruned == stats.n_pruned_evaluations > 0
 
     def test_sharded_stats_harvest_counters(self, small_civ):
         result = glove(

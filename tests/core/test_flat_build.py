@@ -98,7 +98,6 @@ def reference_build(engine, initial):
 def test_flat_build_matches_the_per_probe_reference(n, seed):
     fps = population(n, seed)
     with StretchEngine(fps, StretchConfig(), ComputeConfig(backend="compiled")) as engine:
-        assert engine.fused_pruning
         # A pending set with gaps: groups already at k=3 are finished.
         initial = np.flatnonzero(engine.store.counts[:n] < 3)
         want_val, want_idx, n_exact, n_pruned = reference_build(engine, initial)

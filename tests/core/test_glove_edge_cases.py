@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import ComputeConfig, GloveConfig, StretchConfig
 from repro.core.dataset import FingerprintDataset
 from repro.core.glove import glove
+from benchmarks.seed_path import seed_glove
 from tests.conftest import make_fp
 
 
@@ -107,18 +108,16 @@ class TestLeftoverMerge:
         counts = sorted(fp.count for fp in result.dataset)
         assert counts == [2, 3]
 
-    @pytest.mark.parametrize("pruning", [True, False])
-    def test_leftover_path_identical_with_pruning(self, pruning):
-        baseline = glove(
-            self._two_clusters_and_a_straggler(),
-            GloveConfig(k=2),
-            ComputeConfig(backend="numpy", pruning=False),
-        )
+    @pytest.mark.parametrize("backend", ["numpy", "auto"])
+    def test_leftover_path_identical_to_seed_path(self, backend):
+        baseline = seed_glove(self._two_clusters_and_a_straggler(), GloveConfig(k=2))
         result = glove(
             self._two_clusters_and_a_straggler(),
             GloveConfig(k=2),
-            ComputeConfig(backend="numpy", pruning=pruning),
+            ComputeConfig(backend=backend),
         )
+        assert result.stats.leftover_merged
+        assert len(result.dataset) == len(baseline.dataset)
         assert result.stats.leftover_merged == baseline.stats.leftover_merged
         for a, b in zip(result.dataset, baseline.dataset):
             assert a.members == b.members

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.config import ComputeConfig, StretchConfig
-from repro.core.engine import StretchEngine
+from repro.core.engine import StretchEngine, bucket_lower_bounds, hull_lower_bounds
 from repro.core.fingerprint import Fingerprint
 from repro.core.pairwise import PaddedFingerprints, ProbeBatch, one_vs_all
 
@@ -101,6 +101,16 @@ def engine_arrays(engine):
     return (
         store.data, store.lengths, store.counts,
         engine._hull, engine._bucket_hull, engine._bucket_occ,
+    )
+
+
+def lb0(engine, slot, targets):
+    return hull_lower_bounds(engine._hull, slot, targets, engine.stretch)
+
+
+def lb1(engine, slot, targets):
+    return bucket_lower_bounds(
+        engine.store, engine._bounds_pack(), slot, targets, engine.stretch
     )
 
 
@@ -203,8 +213,8 @@ def check_bounded(engine, bmva, bmvs, n, probes, t_lists, thresholds, reverse, b
             exact = engine.row(slot, t_lists[p])
             np.testing.assert_array_equal(row[evaluated], exact[evaluated])
             assert_order_free(exact)
-            assert_order_free(engine.hull_lower_bounds(slot, t_lists[p]))
-            assert_order_free(engine.bucket_lower_bounds(slot, t_lists[p]))
+            assert_order_free(lb0(engine, slot, t_lists[p]))
+            assert_order_free(lb1(engine, slot, t_lists[p]))
     shared = np.arange(n, dtype=np.int64)
     best, idx, pr = bmva(probe_slots, *arrays, shared, thresholds, *args)
     ref = kernels.bounded_many_vs_all_pure(probe_slots, *arrays, shared, thresholds, *args)
@@ -285,8 +295,8 @@ class TestBoundedEdges:
                 )
         # The coincident twins: every bound is +0 and the pair evaluates
         # to +0 at a zero threshold instead of being pruned.
-        assert engine.hull_lower_bounds(2, np.array([3]))[0] == 0.0
-        assert engine.bucket_lower_bounds(2, np.array([3]))[0] == 0.0
+        assert lb0(engine, 2, np.array([3]))[0] == 0.0
+        assert lb1(engine, 2, np.array([3]))[0] == 0.0
         flat, offsets = csr([np.array([3], dtype=np.int64)])
         out, pruned = bmvs(
             np.array([2], dtype=np.int64), *engine_arrays(engine), flat, offsets,

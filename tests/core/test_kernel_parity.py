@@ -544,11 +544,11 @@ class TestFallback:
         proc = _run_fallback_probe(
             """
             from repro.core.config import ComputeConfig, StretchConfig
-            from repro.core.engine import AutoBackend, NumpyBackend
+            from repro.core.engine import NumpyBackend, create_backend
 
-            backend = AutoBackend(ComputeConfig(backend="auto"), StretchConfig())
-            assert isinstance(backend._inline, NumpyBackend)
-            assert not backend.fast_exact
+            for name in ("auto", "sharded"):
+                backend = create_backend(ComputeConfig(backend=name), StretchConfig())
+                assert type(backend) is NumpyBackend, (name, backend)
             print("auto-ok")
             """,
             {"REPRO_CC_KERNEL": "0"},
@@ -621,9 +621,6 @@ class TestFallback:
                 Fingerprint("c", [Sample(x=1e8, y=1e8, t=1e7)], count=1),
             ]
             engine = StretchEngine(fps, compute=ComputeConfig(backend="numpy"))
-            # NumpyBackend has no bounded dispatch: fused pruning stays off
-            # and glove takes the seed path untouched.
-            assert not engine.fused_pruning
             store = engine.store
             arrays = (
                 store.data, store.lengths, store.counts,
@@ -703,6 +700,14 @@ class TestFallback:
             engine.StretchEngine._summarize_numpy = count_summarize
             kernels.merge_samples_arrays = count_kernel(kernels.merge_samples_arrays)
             kernels.summarize_slots_arrays = count_kernel(kernels.summarize_slots_arrays)
+            # The NumPy tier's bounded walk never falls into the pure
+            # twins of the fused sweeps.
+            kernels.bounded_many_vs_all_arrays = count_kernel(
+                kernels.bounded_many_vs_all_arrays
+            )
+            kernels.bounded_many_vs_some_arrays = count_kernel(
+                kernels.bounded_many_vs_some_arrays
+            )
 
             sc = get_scenario("bench").scaled(n_users=40, days=1, seed=0)
             dataset = sc.synthesize(Pipeline(ArtifactStore(root=None)))

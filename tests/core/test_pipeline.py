@@ -105,14 +105,14 @@ class TestGloveStage:
 
 class TestComputeResultSignature:
     def test_kernel_backends_share_artifacts(self):
-        # numpy/process/auto are byte-identical (DESIGN.md D4): one key.
+        # numpy/compiled/auto are byte-identical (DESIGN.md D4): one key.
         assert compute_result_signature(ComputeConfig(backend="numpy")) == {}
-        assert compute_result_signature(ComputeConfig(backend="process", workers=4)) == {}
+        assert compute_result_signature(ComputeConfig(backend="compiled", workers=4)) == {}
         assert compute_result_signature(ComputeConfig(backend="auto", chunk=32)) == {}
         assert compute_result_signature(None) == {}
 
-    def test_pruning_and_chunking_excluded(self):
-        a = compute_result_signature(ComputeConfig(backend="numpy", pruning=False))
+    def test_chunking_and_kernel_threads_excluded(self):
+        a = compute_result_signature(ComputeConfig(backend="numpy", kernel_threads=4))
         b = compute_result_signature(ComputeConfig(backend="numpy", chunk=8))
         assert a == b == {}
 

@@ -86,33 +86,23 @@ class TestInfo:
 
 
 class TestComputeFlags:
-    """The --backend / --workers / --chunk / --no-prune substrate flags."""
+    """The --backend / --workers / --chunk substrate flags."""
 
     def test_anonymize_backend_selection(self, raw_csv, tmp_path, capsys):
         outputs = {}
-        for backend in ("numpy", "process", "auto"):
-            published = tmp_path / f"pub-{backend}.csv"
+        for name, flags in (
+            ("numpy", ["--backend", "numpy"]),
+            ("numpy-chunk", ["--backend", "numpy", "--chunk", "32"]),
+            ("auto", ["--backend", "auto"]),
+        ):
+            published = tmp_path / f"pub-{name}.csv"
             code = main(
-                ["anonymize", str(raw_csv), "-k", "2",
-                 "--backend", backend, "-o", str(published)]
+                ["anonymize", str(raw_csv), "-k", "2", *flags, "-o", str(published)]
             )
             assert code == 0
-            outputs[backend] = published.read_text()
-        # Backend choice must never change the published bytes.
-        assert outputs["numpy"] == outputs["process"] == outputs["auto"]
-
-    def test_anonymize_no_prune_identical(self, raw_csv, tmp_path, capsys):
-        pruned = tmp_path / "pruned.csv"
-        full = tmp_path / "full.csv"
-        assert main(
-            ["anonymize", str(raw_csv), "-k", "2", "--backend", "numpy",
-             "-o", str(pruned)]
-        ) == 0
-        assert main(
-            ["anonymize", str(raw_csv), "-k", "2", "--backend", "numpy",
-             "--no-prune", "--chunk", "32", "-o", str(full)]
-        ) == 0
-        assert pruned.read_text() == full.read_text()
+            outputs[name] = published.read_text()
+        # Backend and chunk choice must never change the published bytes.
+        assert outputs["numpy"] == outputs["numpy-chunk"] == outputs["auto"]
 
     def test_measure_accepts_backend(self, raw_csv, capsys):
         assert main(["measure", str(raw_csv), "-k", "2", "--backend", "numpy"]) == 0
